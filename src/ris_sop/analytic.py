@@ -11,12 +11,16 @@ Two integration branches exist depending on whether the Q-function argument
 can go negative inside the integral, selected by the sign of
 ``mu_d^2 * gamma0 - (rho - 1)``; the boundary itself belongs to the simpler
 single-branch case.
+
+The terms and order sums take the threshold offset ``rho - 1`` as a
+parameter.  With it set to 0 they are the high-SNR terms of
+:mod:`ris_sop.asymptotic`, exactly as the paper derives them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, ContractError, EvaluationError
 from .result import SopResult
@@ -26,32 +30,39 @@ from .sysmodel import CltParams, SystemConfig, derive_clt_params
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class TermContext:
+class TermContext(NamedTuple):
     """Per-term constants shared by the closed-form integrals.
 
     ``sigma_mk`` is the composition-scaled amplitude deviation
     sigma_d / sqrt(sum_i k_i p_i); ``upsilon_mk`` the combined quadratic
-    coefficient 1/(2 sigma_mk^2) + gamma0 / (rho * lambda_e); ``alpha`` the
-    branch split point of the outer integral (negative on the low-SNR
-    branch).
+    coefficient 1/(2 sigma_mk^2) + gamma0 / (rho * lambda_e); ``offset`` the
+    additive outage-threshold term (rho - 1, or 0 on the high-SNR route);
+    ``alpha`` the branch split point of the outer integral at that offset
+    (negative on the low-SNR branch).
     """
 
     m: int
     k: MultinomialTerm
     sigma_mk: float
     upsilon_mk: float
+    offset: float
     alpha: float
 
 
-def term_context(k: MultinomialTerm, params: CltParams) -> TermContext:
+def term_context(
+    k: MultinomialTerm, params: CltParams, offset: float | None = None
+) -> TermContext:
     sigma_mk = math.sqrt(params.sigma2_d / k.p_dot_k)
     upsilon_mk = 1.0 / (2.0 * sigma_mk**2) + params.gamma0 / (
         params.rho * params.lambda_e
     )
-    alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1.0)) / params.rho
     return TermContext(
-        m=k.m, k=k, sigma_mk=sigma_mk, upsilon_mk=upsilon_mk, alpha=alpha
+        m=k.m,
+        k=k,
+        sigma_mk=sigma_mk,
+        upsilon_mk=upsilon_mk,
+        offset=params.threshold_offset(offset),
+        alpha=params.branch_point(offset),
     )
 
 
@@ -68,16 +79,17 @@ def j_plus_term(ctx: TermContext, params: CltParams) -> float:
 
     Equals (1/2) * integral over x in [0, inf) of
     exp(-chi_k(x)^2 / 2) * exppdf(x), where chi_k is the composition-scaled
-    Q argument; the quadrature oracle checks exactly this.
+    Q argument at threshold ``rho * x + ctx.offset``; the quadrature oracle
+    checks exactly this.
     """
     mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
     s2 = ctx.sigma_mk**2
     ups = ctx.upsilon_mk
     pref = g0 / (2.0 * rho * lam * ups)
-    u0 = math.sqrt((rho - 1.0) / g0)
+    u0 = math.sqrt(ctx.offset / g0)
     t1 = math.exp(-((u0 - mu) ** 2) / (2.0 * s2))
     beta = mu / (2.0 * s2 * ups)
-    a = (rho - 1.0) / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
+    a = ctx.offset / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
     b = math.sqrt(2.0 * ups) * (u0 - beta)
     t2 = (mu * _SQRT_PI / (s2 * math.sqrt(ups))) * exp_times_q(a, b)
     return _require_finite(pref * (t1 + t2), "j_plus_term", ctx)
@@ -97,25 +109,25 @@ def i_plus_term(ctx: TermContext, params: CltParams) -> float:
     s2 = ctx.sigma_mk**2
     ups = ctx.upsilon_mk
     pref = g0 / (2.0 * rho * lam * ups)
-    t1 = math.exp(-(mu**2 * g0 - (rho - 1.0)) / (rho * lam))
-    a = (rho - 1.0) / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
+    t1 = math.exp(-(mu**2 * g0 - ctx.offset) / (rho * lam))
+    a = ctx.offset / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
     b = math.sqrt(2.0) * mu * g0 / (rho * lam * math.sqrt(ups))
     t2 = (mu * _SQRT_PI / (s2 * math.sqrt(ups))) * exp_times_q(a, b)
     return _require_finite(pref * (t1 + t2), "i_plus_term", ctx)
 
 
-def j_plus(m: int, params: CltParams) -> float:
+def j_plus(m: int, params: CltParams, offset: float | None = None) -> float:
     """Order-m full-range outage integral, via the multinomial expansion."""
     return sum(
-        k.coef * k.weight_product * j_plus_term(term_context(k, params), params)
+        k.coef * k.weight_product * j_plus_term(term_context(k, params, offset), params)
         for k in multinomial_set(m)
     )
 
 
-def i_plus(m: int, params: CltParams) -> float:
+def i_plus(m: int, params: CltParams, offset: float | None = None) -> float:
     """Order-m tail integral over [alpha, inf); subset of j_plus by domain."""
     return sum(
-        k.coef * k.weight_product * i_plus_term(term_context(k, params), params)
+        k.coef * k.weight_product * i_plus_term(term_context(k, params, offset), params)
         for k in multinomial_set(m)
     )
 
@@ -133,7 +145,7 @@ def i_minus(m: int, params: CltParams) -> float:
     Expressed through the binomial expansion as
     1 - exp(-alpha/lambda_e) - sum_j V(m,j) (J+(j) - I+(j)).
     """
-    alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1.0)) / params.rho
+    alpha = params.branch_point()
     if alpha <= 0:
         raise ContractError(f"i_minus requires mu^2*gamma0 > rho-1, got alpha={alpha}")
     j_vals = {j: j_plus(j, params) for j in range(1, m + 1)}
@@ -154,14 +166,13 @@ def sop_closed_form(cfg: SystemConfig) -> SopResult:
     if m_users > 16:
         raise CapacityError(f"n_users capped at 16 for the closed form, got {m_users}")
     xi = params.xi
-    boundary = params.mu_d**2 * params.gamma0
-    if boundary <= params.rho - 1.0:
+    alpha = params.branch_point()
+    if alpha <= 0:
         total = sum(
             signed_binom(m_users, m) * xi**m * j_plus(m, params)
             for m in range(1, m_users + 1)
         )
     else:
-        alpha = (boundary - (params.rho - 1.0)) / params.rho
         exp_alpha = math.exp(-alpha / params.lambda_e)
         j_vals = {j: j_plus(j, params) for j in range(1, m_users + 1)}
         i_vals = {j: i_plus(j, params) for j in range(1, m_users + 1)}

@@ -8,10 +8,10 @@ cancelled form ``N * pi^2 * ratio / (16 * rho)`` so that sweeping the
 transmit SNR (or the source-side distance) leaves the result bit-identical,
 not merely close.
 
-Two routes are provided: a term-sum mirroring the closed form with the
-threshold offset dropped, and a fully reduced expression in the basic system
-parameters only.  The difference between them is one extra layer of the
-three-exponential Q substitution.
+Two routes are provided: a term-sum that is the closed form's order sums
+with the threshold offset rho - 1 set to 0, and a fully reduced expression
+in the basic system parameters only.  The difference between them is one
+extra layer of the three-exponential Q substitution.
 """
 
 from __future__ import annotations
@@ -19,12 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import TermContext, term_context
-from .errors import EvaluationError
-from .specfun import Q_APPROX, exp_times_q, multinomial_set, signed_binom
+from .analytic import (
+    TermContext,
+    i_plus,
+    i_plus_term,
+    j_plus,
+    j_plus_term,
+    term_context,
+)
+from .specfun import Q_APPROX, multinomial_set, signed_binom
+from .specfun import exp_times_q  # noqa: F401 - bench/tracing.py wraps this name
 from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
-_SQRT_PI = math.sqrt(math.pi)
 _Q16 = (16.0 - math.pi**2) / 16.0
 
 
@@ -49,59 +55,13 @@ class AsymptoticBreakdown:
 
 
 def i_plus_term_asym(ctx: TermContext, params: CltParams) -> float:
-    """High-SNR limit of a single tail-integral term.
-
-    Matches the quadrature of the threshold-simplified integrand over
-    x in [mu^2 gamma0 / rho, inf), and approaches the finite-SNR term once
-    rho - 1 is negligible against mu^2 gamma0.
-    """
-    mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
-    s2 = ctx.sigma_mk**2
-    ups = ctx.upsilon_mk
-    pref = g0 / (2.0 * rho * lam * ups)
-    t1 = math.exp(-(mu**2) * g0 / (rho * lam))
-    a = -(mu**2) * g0 / (2.0 * s2 * rho * lam * ups)
-    b = math.sqrt(2.0) * mu * g0 / (rho * lam * math.sqrt(ups))
-    t2 = (mu * _SQRT_PI / (s2 * math.sqrt(ups))) * exp_times_q(a, b)
-    value = pref * (t1 + t2)
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"i_plus_term_asym lost finiteness for m={ctx.m}, k={ctx.k.k}"
-        )
-    return value
+    """High-SNR tail-integral term: :func:`i_plus_term` at offset 0."""
+    return i_plus_term(term_context(ctx.k, params, offset=0.0), params)
 
 
 def j_plus_term_asym(ctx: TermContext, params: CltParams) -> float:
-    """High-SNR limit of a single full-range term (threshold offset dropped)."""
-    mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
-    s2 = ctx.sigma_mk**2
-    ups = ctx.upsilon_mk
-    pref = g0 / (2.0 * rho * lam * ups)
-    t1 = math.exp(-(mu**2) / (2.0 * s2))
-    beta = mu / (2.0 * s2 * ups)
-    a = -(mu**2) * g0 / (2.0 * s2 * rho * lam * ups)
-    b = -math.sqrt(2.0 * ups) * beta
-    t2 = (mu * _SQRT_PI / (s2 * math.sqrt(ups))) * exp_times_q(a, b)
-    value = pref * (t1 + t2)
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"j_plus_term_asym lost finiteness for m={ctx.m}, k={ctx.k.k}"
-        )
-    return value
-
-
-def _i_plus_asym(m: int, params: CltParams) -> float:
-    return sum(
-        k.coef * k.weight_product * i_plus_term_asym(term_context(k, params), params)
-        for k in multinomial_set(m)
-    )
-
-
-def _j_plus_asym(m: int, params: CltParams) -> float:
-    return sum(
-        k.coef * k.weight_product * j_plus_term_asym(term_context(k, params), params)
-        for k in multinomial_set(m)
-    )
+    """High-SNR full-range term: :func:`j_plus_term` at offset 0."""
+    return j_plus_term(term_context(ctx.k, params, offset=0.0), params)
 
 
 def _gain_ratio(cfg: SystemConfig) -> float:
@@ -134,9 +94,9 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
     m_users = cfg.n_users
     c = cfg.n_elements * math.pi**2 * _gain_ratio(cfg) / (16.0 * params.rho)
     p1 = -math.expm1(-c)
-    i_vals = {m: _i_plus_asym(m, params) for m in range(1, m_users + 1)}
+    i_vals = {m: i_plus(m, params, offset=0.0) for m in range(1, m_users + 1)}
     p3 = sum(signed_binom(m_users, m) * i_vals[m] for m in range(1, m_users + 1))
-    p2 = i_vals[m_users] - _j_plus_asym(m_users, params)
+    p2 = i_vals[m_users] - j_plus(m_users, params, offset=0.0)
     sop_simplified = math.exp(-c) - p3
     return AsymptoticBreakdown(
         p1=p1,

@@ -22,24 +22,17 @@ from itertools import product
 
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
-from .errors import ConfigError
-from .mcsim import estimate_noma_pair, estimate_sop
+from .errors import PACKAGE_ERRORS, ConfigError
+from .mcsim import SCHEMES, estimate_noma_pair, estimate_sop
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
 
 AXES = ("gamma0_db", "n_elements", "n_users", "d_sr", "d_rd", "d_re", "r_th")
-SCHEMES = ("OUS", "NOMA_BU", "NOMA_WU")
 EVALUATORS = ("closed", "asymptotic", "quad_exact", "quad_approx", "mc")
 _INT_FIELDS = {"n_elements", "n_users"}
 _MAX_GRID = 1_000_000
 #: Probabilities below quadrature/MC resolution are reported as exact zero.
 SOP_FLOOR = 1e-12
-
-CSV_HEADER = (
-    "gamma0_db,n_elements,n_users,d_sr,d_rd,d_re,r_th,scheme,"
-    "sop_closed,sop_asym,sop_quad_exact,sop_quad_approx,"
-    "sop_mc,sop_mc_ci_low,sop_mc_ci_high,mc_trials,seed"
-)
 
 
 @dataclass(frozen=True)
@@ -88,6 +81,19 @@ class SweepRow:
     mc_trials: int | None = None
     seed: int | None = None
     error: str | None = None
+
+
+#: CSV columns: every SweepRow field in declaration order except ``error``.
+_CSV_FIELDS = tuple(f for f in dataclasses.fields(SweepRow) if f.name != "error")
+CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
+_PARSERS = {"int": int, "str": str}
+
+
+def _parse_field(field: dataclasses.Field, text: str):
+    if text == "" and field.default is None:
+        return None
+    # Annotations are strings here ("float", "int | None", ...).
+    return _PARSERS.get(field.type.split(" |")[0], float)(text)
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
@@ -233,39 +239,26 @@ def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[Swee
                         errors[s].append(f"mc: {exc}")
 
     analytic_cols: dict[str, float] = {}
-    analytic_errors: list[str] = []
-    if any(e != "mc" for e in spec.evaluators) and "OUS" in spec.schemes:
-        for name, fn in (
-            ("closed", lambda: sop_closed_form(cfg).value),
-            ("asymptotic", lambda: sop_asymptotic(cfg).sop_simplified),
-            ("quad_exact", lambda: sop_quad_exact_q(cfg).value),
-            ("quad_approx", lambda: sop_quad_approx_q(cfg).value),
+    if "OUS" in spec.schemes:
+        for name, column, fn in (
+            ("closed", "sop_closed", lambda: sop_closed_form(cfg).value),
+            ("asymptotic", "sop_asym", lambda: sop_asymptotic(cfg).sop_simplified),
+            ("quad_exact", "sop_quad_exact", lambda: sop_quad_exact_q(cfg).value),
+            ("quad_approx", "sop_quad_approx", lambda: sop_quad_approx_q(cfg).value),
         ):
             if name not in spec.evaluators:
                 continue
             try:
-                analytic_cols[name] = _floor(fn())
+                analytic_cols[column] = _floor(fn())
             except Exception as exc:  # noqa: BLE001
-                analytic_errors.append(f"{name}: {exc}")
+                errors["OUS"].append(f"{name}: {exc}")
 
     for scheme in spec.schemes:
         row = SweepRow(
-            gamma0_db=cfg.gamma0_db,
-            n_elements=cfg.n_elements,
-            n_users=cfg.n_users,
-            d_sr=cfg.d_sr,
-            d_rd=cfg.d_rd,
-            d_re=cfg.d_re,
-            r_th=cfg.r_th,
             scheme=scheme,
+            **{axis: getattr(cfg, axis) for axis in AXES},
+            **(analytic_cols if scheme == "OUS" else {}),
         )
-        row_errors = list(errors[scheme])
-        if scheme == "OUS":
-            row.sop_closed = analytic_cols.get("closed")
-            row.sop_asym = analytic_cols.get("asymptotic")
-            row.sop_quad_exact = analytic_cols.get("quad_exact")
-            row.sop_quad_approx = analytic_cols.get("quad_approx")
-            row_errors.extend(analytic_errors)
         est = mc_results.get(scheme)
         if est is not None:
             row.sop_mc = _floor(est.sop_hat)
@@ -273,7 +266,7 @@ def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[Swee
             row.sop_mc_ci_high = _floor(est.ci_high)
             row.mc_trials = est.trials
             row.seed = point_seed
-        row.error = "; ".join(row_errors) if row_errors else None
+        row.error = "; ".join(errors[scheme]) or None
         rows.append(row)
     return rows
 
@@ -312,30 +305,7 @@ def emit_csv(table: list[SweepRow]) -> str:
     """Render the result table; shortest round-trip decimals, empty nulls."""
     lines = [CSV_HEADER]
     for row in table:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.gamma0_db,
-                    row.n_elements,
-                    row.n_users,
-                    row.d_sr,
-                    row.d_rd,
-                    row.d_re,
-                    row.r_th,
-                    row.scheme,
-                    row.sop_closed,
-                    row.sop_asym,
-                    row.sop_quad_exact,
-                    row.sop_quad_approx,
-                    row.sop_mc,
-                    row.sop_mc_ci_low,
-                    row.sop_mc_ci_high,
-                    row.mc_trials,
-                    row.seed,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(row, f.name)) for f in _CSV_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -347,44 +317,37 @@ def parse_csv(text: str) -> list[SweepRow]:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 17:
-            raise ConfigError(f"expected 17 fields, got {len(parts)}")
-
-        def opt(s, conv=float):
-            return None if s == "" else conv(s)
-
-        rows.append(
-            SweepRow(
-                gamma0_db=float(parts[0]),
-                n_elements=int(parts[1]),
-                n_users=int(parts[2]),
-                d_sr=float(parts[3]),
-                d_rd=float(parts[4]),
-                d_re=float(parts[5]),
-                r_th=float(parts[6]),
-                scheme=parts[7],
-                sop_closed=opt(parts[8]),
-                sop_asym=opt(parts[9]),
-                sop_quad_exact=opt(parts[10]),
-                sop_quad_approx=opt(parts[11]),
-                sop_mc=opt(parts[12]),
-                sop_mc_ci_low=opt(parts[13]),
-                sop_mc_ci_high=opt(parts[14]),
-                mc_trials=opt(parts[15], int),
-                seed=opt(parts[16], int),
+        if len(parts) != len(_CSV_FIELDS):
+            raise ConfigError(
+                f"expected {len(_CSV_FIELDS)} fields, got {len(parts)}"
             )
-        )
+        rows.append(SweepRow(**{
+            f.name: _parse_field(f, part) for f, part in zip(_CSV_FIELDS, parts)
+        }))
     return rows
 
 
 def _run_oracle(spec: SweepSpec, out=None) -> int:
-    """Two-tier cross-check: closed form vs both quadrature routes."""
+    """Two-tier cross-check: closed form vs both quadrature routes.
+
+    A point whose evaluation raises a package error is reported as a FAIL
+    row naming the exception, and the remaining points still run.
+    """
     out = sys.stdout if out is None else out
     failures = 0
     for index, cfg in enumerate(_grid_points(spec)):
-        closed = sop_closed_form(cfg).value
-        approx = sop_quad_approx_q(cfg).value
-        exact = sop_quad_exact_q(cfg).value
+        where = (
+            f"point {index} gamma0_db={cfg.gamma0_db} N={cfg.n_elements} "
+            f"M={cfg.n_users}"
+        )
+        try:
+            closed = sop_closed_form(cfg).value
+            approx = sop_quad_approx_q(cfg).value
+            exact = sop_quad_exact_q(cfg).value
+        except PACKAGE_ERRORS as exc:
+            failures += 1
+            print(f"{where}: {type(exc).__name__}: {exc} -> FAIL", file=out)
+            continue
         scale = max(abs(approx), SOP_FLOOR)
         tier_a = abs(closed - approx) / scale <= 1e-6
         tier_b = True
@@ -393,8 +356,7 @@ def _run_oracle(spec: SweepSpec, out=None) -> int:
         ok = tier_a and tier_b
         failures += 0 if ok else 1
         print(
-            f"point {index} gamma0_db={cfg.gamma0_db} N={cfg.n_elements} "
-            f"M={cfg.n_users}: closed={closed:.6e} quad_approx={approx:.6e} "
+            f"{where}: closed={closed:.6e} quad_approx={approx:.6e} "
             f"quad_exact={exact:.6e} -> {'PASS' if ok else 'FAIL'}",
             file=out,
         )

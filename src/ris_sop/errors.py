@@ -32,3 +32,9 @@ class AccuracyError(RuntimeError):
 
 class ConfigError(ValueError):
     """Configuration document rejected (syntax, schema, or value range)."""
+
+
+#: Every exception type above, for callers that report any package error.
+PACKAGE_ERRORS = (
+    DomainError, CapacityError, ContractError, EvaluationError, AccuracyError, ConfigError
+)

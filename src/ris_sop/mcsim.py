@@ -45,6 +45,15 @@ _TAG_EAV_SR = 4  # fresh source-to-surface powers (independent mode only)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
+#: Strong (best) user's power fraction in the NOMA pair: the largest point
+#: G / (2(G+1)), G = 99, of the split grid i / (2(G+1)) that keeps the weak
+#: user's share the larger one.  It maximizes the legitimate sum rate over
+#: that grid in every slot: under the best user's phases gamma_bu >= gamma_wu
+#: (triangle inequality), so the sum rate
+#: log2(1 + a gamma_bu) + log2((1 + gamma_wu) / (1 + a gamma_wu)) is
+#: non-decreasing in a.
+NOMA_A_BU = 99.0 / 200.0
+
 SCHEMES = ("OUS", "NOMA_BU", "NOMA_WU")
 MODES = ("physical", "independent")
 
@@ -118,12 +127,14 @@ def _wilson(outages: int, trials: int, seed: int) -> McEstimate:
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
     half = _WILSON_Z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    # At p = 0 and p = 1 the Wilson endpoints are exactly 0 and 1; the
+    # rounded formula can land an ulp inside them and exclude sop_hat.
     return McEstimate(
         trials=n,
         outages=outages,
         sop_hat=p,
-        ci_low=max(0.0, center - half),
-        ci_high=min(1.0, center + half),
+        ci_low=0.0 if outages == 0 else max(0.0, center - half),
+        ci_high=1.0 if outages == n else min(1.0, center + half),
         seed=seed,
     )
 
@@ -184,27 +195,17 @@ def ous_slot(cfg: SystemConfig, realization: ChannelRealization) -> SlotOutcome:
     )
 
 
-def _power_grid(power_grid_size: int) -> np.ndarray:
-    # Strong-user fractions strictly inside (0, 1/2): the weak user always
-    # keeps the larger share and the boundary split is excluded.
-    i = np.arange(1, power_grid_size + 1, dtype=float)
-    return i / (2.0 * (power_grid_size + 1))
-
-
-def noma_slot(
-    cfg: SystemConfig,
-    realization: ChannelRealization,
-    power_grid_size: int = 99,
-) -> NomaSlot:
+def noma_slot(cfg: SystemConfig, realization: ChannelRealization) -> NomaSlot:
     """Run one slot of the two-user NOMA benchmark.
 
     The pair is the best user (surface phases aligned to it, exactly as in
     the opportunistic scheme) and the worst user under those same phases.
-    The power split is picked by a grid search maximizing the instantaneous
-    legitimate sum rate subject to the strong user getting the smaller
-    share.  Decoding order everywhere (eavesdropper included): weak-user
-    message first, treating the strong user's signal as interference; the
-    strong user cancels it before decoding its own.
+    The strong user gets the fixed share :data:`NOMA_A_BU`, the point of the
+    benchmark's split grid that maximizes the instantaneous legitimate sum
+    rate subject to the strong user getting the smaller share.  Decoding
+    order everywhere (eavesdropper included): weak-user message first,
+    treating the strong user's signal as interference; the strong user
+    cancels it before decoding its own.
     """
     if cfg.n_users < 2:
         raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
@@ -224,11 +225,7 @@ def noma_slot(
     g_e = np.sum(realization.h_re * rot)
     gamma_e = p.gamma0 * abs(g_e) ** 2
 
-    grid = _power_grid(power_grid_size)
-    rate_bu_g = np.log2(1.0 + grid * gamma_bu)
-    rate_wu_g = np.log2(1.0 + (1.0 - grid) * gamma_wu / (grid * gamma_wu + 1.0))
-    a_bu = float(grid[int(np.argmax(rate_bu_g + rate_wu_g))])
-
+    a_bu = NOMA_A_BU
     rate_bu = math.log2(1.0 + a_bu * gamma_bu)
     eav_bu = math.log2(1.0 + a_bu * gamma_e)
     sinr_wu = (1.0 - a_bu) * gamma_wu / (a_bu * gamma_wu + 1.0)
@@ -294,7 +291,7 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
     return int(np.count_nonzero(gamma_d < p.rho * gamma_e + (p.rho - 1.0)))
 
 
-def _noma_chunk(cfg, p, seed, block, size, independent, power_grid_size):
+def _noma_chunk(cfg, p, seed, block, size, independent):
     n, m = cfg.n_elements, cfg.n_users
     g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
     sr_amp = np.sqrt(p.zeta_sr * g_sr)
@@ -313,12 +310,7 @@ def _noma_chunk(cfg, p, seed, block, size, independent, power_grid_size):
     gamma_wu = gamma_all[rows, wu]
     gamma_e = _eav_snr(p, g_sr, seed, block, size, independent)
 
-    grid = _power_grid(power_grid_size)
-    rate_bu_g = np.log2(1.0 + grid[None, :] * gamma_bu[:, None])
-    gw = gamma_wu[:, None]
-    rate_wu_g = np.log2(1.0 + (1.0 - grid[None, :]) * gw / (grid[None, :] * gw + 1.0))
-    a = grid[np.argmax(rate_bu_g + rate_wu_g, axis=1)]
-
+    a = NOMA_A_BU
     cs_bu = np.log2(1.0 + a * gamma_bu) - np.log2(1.0 + a * gamma_e)
     cs_wu = np.log2(1.0 + (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)) - np.log2(
         1.0 + (1.0 - a) * gamma_e / (a * gamma_e + 1.0)
@@ -351,6 +343,14 @@ def _run_chunks(fn, trials: int, workers: int):
         return [f.result() for f in futures]
 
 
+def _check_run(mode: str, trials: int, seed: int) -> None:
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
+
+
 def estimate_sop(
     cfg: SystemConfig,
     scheme: str,
@@ -358,29 +358,21 @@ def estimate_sop(
     seed: int,
     mode: str = "physical",
     workers: int = 1,
-    power_grid_size: int = 99,
 ) -> McEstimate:
     """Monte Carlo SOP estimate for one scheme at one operating point."""
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
-    if scheme == "OUS":
-        p = derive_clt_params(cfg)
-        independent = mode == "independent"
-        counts = _run_chunks(
-            lambda block, size: _ous_chunk(cfg, p, seed, block, size, independent),
-            trials,
-            workers,
-        )
-        return _wilson(sum(counts), trials, seed)
-    bu, wu = estimate_noma_pair(
-        cfg, trials, seed, mode=mode, workers=workers, power_grid_size=power_grid_size
+    if scheme != "OUS":
+        return estimate_schemes_paired(cfg, trials, seed, mode, workers)[scheme]
+    _check_run(mode, trials, seed)
+    p = derive_clt_params(cfg)
+    independent = mode == "independent"
+    counts = _run_chunks(
+        lambda block, size: _ous_chunk(cfg, p, seed, block, size, independent),
+        trials,
+        workers,
     )
-    return bu if scheme == "NOMA_BU" else wu
+    return _wilson(sum(counts), trials, seed)
 
 
 def estimate_noma_pair(
@@ -389,28 +381,10 @@ def estimate_noma_pair(
     seed: int,
     mode: str = "physical",
     workers: int = 1,
-    power_grid_size: int = 99,
 ) -> tuple[McEstimate, McEstimate]:
     """Both NOMA users' SOP estimates from one shared simulation pass."""
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
-    if cfg.n_users < 2:
-        raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
-    p = derive_clt_params(cfg)
-    independent = mode == "independent"
-    counts = _run_chunks(
-        lambda block, size: _noma_chunk(
-            cfg, p, seed, block, size, independent, power_grid_size
-        ),
-        trials,
-        workers,
-    )
-    bu_total = sum(c[0] for c in counts)
-    wu_total = sum(c[1] for c in counts)
-    return _wilson(bu_total, trials, seed), _wilson(wu_total, trials, seed)
+    est = estimate_schemes_paired(cfg, trials, seed, mode, workers)
+    return est["NOMA_BU"], est["NOMA_WU"]
 
 
 def estimate_schemes_paired(
@@ -419,7 +393,6 @@ def estimate_schemes_paired(
     seed: int,
     mode: str = "physical",
     workers: int = 1,
-    power_grid_size: int = 99,
 ) -> dict[str, McEstimate]:
     """OUS, NOMA-BU and NOMA-WU estimates from the same channel draws.
 
@@ -428,19 +401,13 @@ def estimate_schemes_paired(
     as its power-sharing NOMA counterpart, so ordering checks become exact
     rather than statistical.
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
+    _check_run(mode, trials, seed)
     if cfg.n_users < 2:
         raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
     p = derive_clt_params(cfg)
     independent = mode == "independent"
     counts = _run_chunks(
-        lambda block, size: _noma_chunk(
-            cfg, p, seed, block, size, independent, power_grid_size
-        ),
+        lambda block, size: _noma_chunk(cfg, p, seed, block, size, independent),
         trials,
         workers,
     )

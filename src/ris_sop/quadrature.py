@@ -170,8 +170,26 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
     return QuadResult(total, total_err, splits)
 
 
-def _exp_pdf(x: np.ndarray, lam: float) -> np.ndarray:
-    return np.exp(-x / lam) / lam
+def _sop_quad(cfg: SystemConfig, q, offset: float | None, rel_tol: float) -> SopResult:
+    # SOP = int (1 - xi Q(z(x)))^M exppdf(x) dx with the scheduled user's
+    # outage threshold rho * x + offset; z changes sign at the branch point,
+    # which becomes a panel boundary when it lies inside the range.
+    p = derive_clt_params(cfg)
+    m_users = cfg.n_users
+    sigma = p.sigma_d
+    shift = p.threshold_offset(offset)
+
+    def integrand(x):
+        y = p.rho * x + shift
+        z = (np.sqrt(y / p.gamma0) - p.mu_d) / sigma
+        cdf = (1.0 - p.xi * q(z)) ** m_users
+        return cdf * (np.exp(-x / p.lambda_e) / p.lambda_e)
+
+    spec = QuadratureSpec(
+        integrand=integrand, rel_tol=rel_tol, breakpoints=(p.branch_point(offset),)
+    )
+    res = integrate_semi_infinite(spec, p.lambda_e)
+    return SopResult(value=res.value, method="quadrature", error_estimate=res.error)
 
 
 def sop_quad_exact_q(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
@@ -179,24 +197,7 @@ def sop_quad_exact_q(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
 
     This is the model-level ground truth every other route is compared to.
     """
-    p = derive_clt_params(cfg)
-    m_users = cfg.n_users
-    sigma = p.sigma_d
-
-    def integrand(x):
-        y = p.rho * x + (p.rho - 1.0)
-        z = (np.sqrt(y / p.gamma0) - p.mu_d) / sigma
-        cdf = (1.0 - p.xi * q_exact(z)) ** m_users
-        return cdf * _exp_pdf(x, p.lambda_e)
-
-    alpha = (p.mu_d**2 * p.gamma0 - (p.rho - 1.0)) / p.rho
-    spec = QuadratureSpec(
-        integrand=integrand,
-        rel_tol=rel_tol,
-        breakpoints=(alpha,) if alpha > 0 else (),
-    )
-    res = integrate_semi_infinite(spec, p.lambda_e)
-    return SopResult(value=res.value, method="quadrature", error_estimate=res.error)
+    return _sop_quad(cfg, q_exact, None, rel_tol)
 
 
 def sop_quad_approx_q(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
@@ -206,43 +207,14 @@ def sop_quad_approx_q(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
     analytically, so agreement with :func:`ris_sop.analytic.sop_closed_form`
     certifies the term algebra with no approximation gap in between.
     """
-    p = derive_clt_params(cfg)
-    m_users = cfg.n_users
-    sigma = p.sigma_d
-
-    def integrand(x):
-        y = p.rho * x + (p.rho - 1.0)
-        z = (np.sqrt(y / p.gamma0) - p.mu_d) / sigma
-        cdf = (1.0 - p.xi * q_approx3(z)) ** m_users
-        return cdf * _exp_pdf(x, p.lambda_e)
-
-    alpha = (p.mu_d**2 * p.gamma0 - (p.rho - 1.0)) / p.rho
-    spec = QuadratureSpec(
-        integrand=integrand,
-        rel_tol=rel_tol,
-        breakpoints=(alpha,) if alpha > 0 else (),
-    )
-    res = integrate_semi_infinite(spec, p.lambda_e)
-    return SopResult(value=res.value, method="quadrature", error_estimate=res.error)
+    return _sop_quad(cfg, q_approx3, None, rel_tol)
 
 
 def sop_quad_asymptotic(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
     """SOP under the high-SNR simplification of the outage threshold.
 
     Same integrand as :func:`sop_quad_exact_q` but with the additive
-    (rho - 1) term dropped, i.e. thresholds ``rho * x`` instead of
+    (rho - 1) term set to 0, i.e. thresholds ``rho * x`` instead of
     ``rho * x + rho - 1``.  Valid only where SNRs dwarf unity.
     """
-    p = derive_clt_params(cfg)
-    m_users = cfg.n_users
-    sigma = p.sigma_d
-
-    def integrand(x):
-        z = (np.sqrt(p.rho * x / p.gamma0) - p.mu_d) / sigma
-        cdf = (1.0 - p.xi * q_exact(z)) ** m_users
-        return cdf * _exp_pdf(x, p.lambda_e)
-
-    kink = p.mu_d**2 * p.gamma0 / p.rho
-    spec = QuadratureSpec(integrand=integrand, rel_tol=rel_tol, breakpoints=(kink,))
-    res = integrate_semi_infinite(spec, p.lambda_e)
-    return SopResult(value=res.value, method="quadrature", error_estimate=res.error)
+    return _sop_quad(cfg, q_exact, 0.0, rel_tol)

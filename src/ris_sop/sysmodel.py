@@ -75,6 +75,22 @@ class CltParams:
     def sigma_d(self) -> float:
         return math.sqrt(self.sigma2_d)
 
+    def threshold_offset(self, offset: float | None = None) -> float:
+        """Additive term of the outage threshold ``rho * x + offset``.
+
+        None selects the finite-SNR value rho - 1; the high-SNR routes pass
+        0, which is how the paper obtains them from the finite-SNR ones.
+        """
+        return self.rho - 1.0 if offset is None else offset
+
+    def branch_point(self, offset: float | None = None) -> float:
+        """alpha = (mu_d^2 gamma0 - offset) / rho.
+
+        The eavesdropper SNR at which the scheduled user's Q argument changes
+        sign; the outage integrals split here when it is positive.
+        """
+        return (self.mu_d**2 * self.gamma0 - self.threshold_offset(offset)) / self.rho
+
 
 def path_loss_linear(d: float, z0: float, upsilon: float) -> float:
     """Linear channel power gain of the log-distance path loss model.

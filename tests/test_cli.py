@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ris_sop import cli
 from ris_sop.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -11,7 +12,7 @@ from ris_sop.cli import (
     parse_csv,
     run_sweep,
 )
-from ris_sop.errors import ConfigError
+from ris_sop.errors import AccuracyError, ConfigError
 from ris_sop.sysmodel import SystemConfig
 
 FAST = json.dumps(
@@ -190,6 +191,26 @@ class TestMain:
         assert main(["oracle", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4  # three points plus the summary
+
+    def test_oracle_reports_evaluator_errors_and_continues(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        exact = cli.sop_quad_exact_q
+
+        def stalls_at_0db(cfg):
+            if cfg.gamma0_db == 0.0:
+                raise AccuracyError("quadrature stalled", value=0.0, error=1.0)
+            return exact(cfg)
+
+        monkeypatch.setattr(cli, "sop_quad_exact_q", stalls_at_0db)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": {"gamma0_db": [0.0, 20.0]}}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        first, second, summary = capsys.readouterr().out.strip().split("\n")
+        assert first.startswith("point 0 ") and "AccuracyError" in first
+        assert first.endswith("FAIL")
+        assert second.startswith("point 1 ") and second.endswith("PASS")
+        assert summary == "oracle: FAIL (1 points)"
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json",

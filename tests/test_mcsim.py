@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from scipy import stats
 
 from ris_sop.errors import ContractError, DomainError
 from ris_sop.mcsim import (
+    NOMA_A_BU,
     _complex_gaussian,
+    _wilson,
     estimate_noma_pair,
     estimate_schemes_paired,
     estimate_sop,
@@ -157,6 +160,17 @@ class TestEstimateSop:
             est = estimate_sop(CFG, "OUS", trials, seed=seed)
             assert 0.0 <= est.ci_low <= est.sop_hat <= est.ci_high <= 1.0
 
+    def test_wilson_interval_contains_estimate_at_zero_and_all_outages(self):
+        # The exact Wilson endpoints at 0 and n outages are 0 and 1.  The
+        # rounded formula gives ci_high = 1 - 2^-53 < sop_hat = 1 for 6,341
+        # of these n and ci_low > 0 = sop_hat for 4,013 of them.
+        for n in [*range(1, 20_001), 60_000, 61_000, 150_000, 300_000]:
+            full = _wilson(n, n, seed=0)
+            none = _wilson(0, n, seed=0)
+            assert full.sop_hat == full.ci_high == 1.0, n
+            assert none.sop_hat == none.ci_low == 0.0, n
+            assert full.ci_low < 1.0 and none.ci_high > 0.0, n
+
     def test_matches_bruteforce_simulator(self):
         # Independent implementation: full complex coefficients, explicit
         # surface phase rotation, no distributional reductions.
@@ -244,6 +258,49 @@ class TestNomaEstimates:
             for w in (1, 4)
         }
         assert len(counts) == 1
+
+
+def _noma_pair_snrs(n, m, gamma0_db, slots, seed):
+    """Per-slot (gamma_bu, gamma_wu) from full complex coefficients.
+
+    The best user maximizes the aligned amplitude sum; the worst user has
+    the weakest effective channel under the best user's surface phases.
+    """
+    p = derive_clt_params(SystemConfig(n_elements=n, n_users=m, gamma0_db=gamma0_db))
+    rng = np.random.default_rng(seed)
+    h_sr = _cn(rng, (slots, n), p.zeta_sr)
+    h_rd = _cn(rng, (slots, n, m), p.zeta_rd)
+    sums = (np.abs(h_rd) * np.abs(h_sr)[:, :, None]).sum(axis=1)
+    rows = np.arange(slots)
+    bu = np.argmax(sums, axis=1)
+    theta = -(np.angle(h_sr) + np.angle(h_rd[rows, :, bu]))
+    g_all = np.einsum("sn,snm->sm", np.exp(1j * theta) * h_sr, h_rd)
+    gamma_all = p.gamma0 * np.abs(g_all) ** 2
+    gamma_all[rows, bu] = np.inf
+    return p.gamma0 * sums[rows, bu] ** 2, gamma_all.min(axis=1)
+
+
+class TestNomaPowerSplit:
+    def test_fixed_split_attains_the_grid_search_maximum(self):
+        # Reference: the 99-point sum-rate search over strong-user fractions
+        # i / 200 that the benchmark's split is defined by.
+        grid = np.arange(1, 100, dtype=float) / (2.0 * 100)
+        assert grid[-1] == NOMA_A_BU
+
+        def sum_rate(a, gb, gw):
+            return np.log2(1.0 + a * gb) + np.log2(
+                1.0 + (1.0 - a) * gw / (a * gw + 1.0)
+            )
+
+        for seed, (g, m, n) in enumerate(
+            product(range(-60, 61, 10), (2, 3, 8), (1, 4, 64))
+        ):
+            gb, gw = _noma_pair_snrs(n, m, float(g), 1024, seed)
+            assert np.all(gw <= gb * (1.0 + 1e-12))
+            best = sum_rate(grid[None, :], gb[:, None], gw[:, None]).max(axis=1)
+            top = sum_rate(NOMA_A_BU, gb, gw)
+            # Ties within a few ulps occur where both SNRs are ~1e-12.
+            assert np.all(top >= best - 4 * np.spacing(best)), (g, m, n)
 
 
 def _cn(rng, shape, gain):
