@@ -4,11 +4,12 @@ This module is the numerical ground truth (under the Gaussian channel model)
 that the closed forms are certified against.  The integrals all share the
 shape ``int f(x) dx`` with ``f`` dominated by ``exp(-x / lambda) / lambda``,
 so the driver substitutes ``x = lambda * u``, truncates where the exponential
-tail mass drops below 1e-15, and refines worst-first with a 15-point
-Gauss-Kronrod rule until the accumulated error estimate meets the relative
-tolerance.  Known integrand kinks can be declared as explicit panel
-boundaries, which matters for the branch-split integrands whose derivative
-jumps where the Q-function argument changes sign.
+tail mass ``exp(-u)`` drops below 1e-15 and below the relative tolerance of
+the value, and refines worst-first with a 15-point Gauss-Kronrod rule until
+the accumulated error estimate meets the relative tolerance.  Known integrand
+kinks can be declared as explicit panel boundaries, which matters for the
+branch-split integrands whose derivative jumps where the Q-function argument
+changes sign.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ from .result import SopResult
 from .specfun import q_approx3, q_exact
 from .sysmodel import SystemConfig, derive_clt_params
 
-#: Truncation point of the substituted variable u = x / lambda; the weight
-#: exp(-u) carries < 1e-15 of its mass beyond here.
+#: Initial truncation point of the substituted variable u = x / lambda; the
+#: weight exp(-u) carries < 1e-15 of its mass beyond here.  The driver moves
+#: it out further when the value is so small that this is not negligible.
 TAIL_CUTOFF = 35.0
+
+#: Refinement budget of the SOP quadratures.  Their integrands converge in
+#: at most a few dozen subdivisions anywhere in the configuration domain, so
+#: running out of it means a stall, which raises AccuracyError promptly.
+SOP_MAX_SUBDIVISIONS = 4096
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (positive nodes).
 _K_NODES = np.array(
@@ -114,6 +121,13 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
     ``lambda_scale`` is the decay scale of the dominating exponential; it
     normalizes the abscissa before adaptive refinement so that panels behave
     uniformly across transmit-SNR sweeps spanning 100+ dB.
+
+    With ``spec.upper`` None the integrand must be bounded by
+    ``exp(-x / lambda_scale) / lambda_scale``, so the mass past the cut-off
+    ``u_hi`` of the substituted variable is at most ``exp(-u_hi)``.  The
+    cut-off starts at :data:`TAIL_CUTOFF` and moves out until that bound is
+    at most half the tolerance; the stopping rule and the reported error
+    count it together with the panels' error estimates.
     """
     if lambda_scale <= 0:
         raise DomainError(f"lambda_scale must be positive, got {lambda_scale}")
@@ -125,36 +139,48 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
     def g(u):
         return spec.integrand(u * lambda_scale) * lambda_scale
 
-    cuts = {lo, hi}
-    for bp in spec.breakpoints:
-        ub = bp / lambda_scale
-        if lo < ub < hi:
-            cuts.add(ub)
-    edges = sorted(cuts)
-    # Presplit long spans so the first error estimates are already local.
-    bounds: list[float] = [edges[0]]
-    for a, b in zip(edges, edges[1:]):
-        pieces = max(1, min(8, int(math.ceil((b - a) / 5.0))))
-        bounds.extend(a + (b - a) * (i + 1) / pieces for i in range(pieces))
-
+    cuts = [bp / lambda_scale for bp in spec.breakpoints]
     heap: list[tuple[float, int, float, float, float, float]] = []
     total = 0.0
     total_err = 0.0
     tick = 0
-    for a, b in zip(bounds, bounds[1:]):
-        val, err = _panel(g, a, b)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, tick, a, b, val, err))
-        tick += 1
 
+    def add_span(start: float, end: float) -> None:
+        nonlocal total, total_err, tick
+        edges = sorted({start, end, *(c for c in cuts if start < c < end)})
+        # Presplit long spans so the first error estimates are already local.
+        bounds = [edges[0]]
+        for a, b in zip(edges, edges[1:]):
+            pieces = max(1, min(8, int(math.ceil((b - a) / 5.0))))
+            bounds.extend(a + (b - a) * (i + 1) / pieces for i in range(pieces))
+        for a, b in zip(bounds, bounds[1:]):
+            val, err = _panel(g, a, b)
+            total += val
+            total_err += err
+            heapq.heappush(heap, (-err, tick, a, b, val, err))
+            tick += 1
+
+    add_span(lo, hi)
     splits = 0
-    while total_err > spec.rel_tol * max(abs(total), 1e-300):
+    while True:
+        tol = spec.rel_tol * max(abs(total), 1e-300)
+        tail = 0.0 if spec.upper is not None else math.exp(-hi)
+        if total_err + tail <= tol:
+            break
+        if tail > 0.5 * tol:
+            # Move the cut-off to where the tail bound is tol / 4.  A tol
+            # below the least subnormal puts it at 745.8, where exp(-u_hi)
+            # is 0.0.
+            new_hi = math.log(4.0) - math.log(max(tol, math.ulp(0.0)))
+            add_span(hi, new_hi)
+            hi = new_hi
+            continue
         if splits >= spec.max_subdivisions or not heap:
             raise AccuracyError(
-                f"quadrature stalled at error {total_err:.3e} for value {total:.6e}",
+                f"quadrature stalled at error {total_err + tail:.3e} "
+                f"for value {total:.6e}",
                 value=total,
-                error=total_err,
+                error=total_err + tail,
             )
         _, _, a, b, val, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -167,7 +193,7 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
         heapq.heappush(heap, (-er, tick, mid, b, vr, er))
         tick += 1
         splits += 1
-    return QuadResult(total, total_err, splits)
+    return QuadResult(total, total_err + tail, splits)
 
 
 def _sop_quad(cfg: SystemConfig, q, offset: float | None, rel_tol: float) -> SopResult:
@@ -178,15 +204,24 @@ def _sop_quad(cfg: SystemConfig, q, offset: float | None, rel_tol: float) -> Sop
     m_users = cfg.n_users
     sigma = p.sigma_d
     shift = p.threshold_offset(offset)
+    xi_c = p.xi_complement()
 
     def integrand(x):
         y = p.rho * x + shift
         z = (np.sqrt(y / p.gamma0) - p.mu_d) / sigma
-        cdf = (1.0 - p.xi * q(z)) ** m_users
+        # The CDF 1 - xi Q(z) as (1 - xi) + xi Q(-z), which keeps its
+        # relative accuracy where it is tiny (z far below 0) instead of
+        # cancelling to ~7 digits.  Q(-z) = 1 - Q(z) holds for q_exact, and
+        # for q_approx3 at every z but 0.  z = 0 only at the branch point,
+        # a panel edge, where no Gauss-Kronrod node falls.
+        cdf = (xi_c + p.xi * q(-z)) ** m_users
         return cdf * (np.exp(-x / p.lambda_e) / p.lambda_e)
 
     spec = QuadratureSpec(
-        integrand=integrand, rel_tol=rel_tol, breakpoints=(p.branch_point(offset),)
+        integrand=integrand,
+        rel_tol=rel_tol,
+        max_subdivisions=SOP_MAX_SUBDIVISIONS,
+        breakpoints=(p.branch_point(offset),),
     )
     res = integrate_semi_infinite(spec, p.lambda_e)
     return SopResult(value=res.value, method="quadrature", error_estimate=res.error)

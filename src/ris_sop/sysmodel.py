@@ -91,6 +91,15 @@ class CltParams:
         """
         return (self.mu_d**2 * self.gamma0 - self.threshold_offset(offset)) / self.rho
 
+    def xi_complement(self) -> float:
+        """1 - xi, without the cancellation of forming it from ``xi``.
+
+        ``xi = 1 / Q(-mu_d / sigma_d)``, so ``1 - xi = -expm1(-log Q(-mu_d /
+        sigma_d))`` from the same ``log_q`` value that gives ``xi``.  It is
+        -Q(mu_d / sigma_d) / Q(-mu_d / sigma_d): negative, and tiny at large N.
+        """
+        return -math.expm1(-log_q(-self.mu_d / self.sigma_d))
+
 
 def path_loss_linear(d: float, z0: float, upsilon: float) -> float:
     """Linear channel power gain of the log-distance path loss model.

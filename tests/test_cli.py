@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -211,6 +212,32 @@ class TestMain:
         assert first.endswith("FAIL")
         assert second.startswith("point 1 ") and second.endswith("PASS")
         assert summary == "oracle: FAIL (1 points)"
+
+    def test_oracle_tier_a_allows_the_closed_form_rounding(self, tmp_path, capsys):
+        # SOP ~1e-9 at M=8: the closed form's 1 - total rounds at ~2^8 eps,
+        # which is more than 1e-6 of the value.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "base": {"n_elements": 256, "n_users": 8},
+            "sweep": {"gamma0_db": [-5.0, 0.0]},
+        }))
+        assert main(["oracle", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 3
+
+    def test_oracle_tier_a_catches_a_relative_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        closed = cli.sop_closed_form
+
+        def biased(cfg):
+            res = closed(cfg)
+            return dataclasses.replace(res, value=res.value * (1 + 1e-5))
+
+        monkeypatch.setattr(cli, "sop_closed_form", biased)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": {"gamma0_db": [20.0]}}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        assert capsys.readouterr().out.strip().endswith("oracle: FAIL (1 points)")
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json",

@@ -1,15 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from ris_sop import quadrature
 from ris_sop.errors import AccuracyError, DomainError
 from ris_sop.quadrature import (
+    SOP_MAX_SUBDIVISIONS,
     QuadratureSpec,
     integrate_semi_infinite,
+    sop_quad_approx_q,
     sop_quad_asymptotic,
     sop_quad_exact_q,
 )
+from ris_sop.specfun import Q_APPROX, q_approx3, q_exact
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
 
 LAM = 2.7
@@ -169,3 +174,82 @@ class TestSopQuadratures:
         assert res.method == "quadrature"
         assert res.error_estimate is not None
         assert res.error_estimate < 1e-9 * res.value * 10
+
+
+def _mp_q_exact(z):
+    return mpmath.erfc(z / mpmath.sqrt(2)) / 2
+
+
+def _mp_q_approx(z):
+    s = sum(
+        mpmath.mpf(w) / 2 * mpmath.exp(-mpmath.mpf(p) * z * z / 2)
+        for w, p in zip(Q_APPROX.w, Q_APPROX.p)
+    )
+    return s if z >= 0 else 1 - s
+
+
+def _mp_sop(cfg: SystemConfig, q) -> float:
+    """The SOP integral at 40 digits, with 1 - xi Q(z) formed as written."""
+    p = derive_clt_params(cfg)
+    with mpmath.workdps(40):
+        mu, sigma, lam, g0, rho = (
+            mpmath.mpf(v) for v in (p.mu_d, p.sigma_d, p.lambda_e, p.gamma0, p.rho)
+        )
+        xi = 1 / q(-mu / sigma)
+
+        def f(x):
+            z = (mpmath.sqrt((rho * x + rho - 1) / g0) - mu) / sigma
+            return (1 - xi * q(z)) ** cfg.n_users * mpmath.exp(-x / lam) / lam
+
+        alpha = (mu**2 * g0 - (rho - 1)) / rho
+        cuts = {mpmath.mpf(0), *(lam * k for k in (1, 5, 20, 40, 80))}
+        if alpha > 0:
+            cuts.add(alpha)
+        return float(mpmath.quad(f, sorted(cuts) + [mpmath.inf]))
+
+
+class TestDeepTail:
+    # N=256, M=1, eavesdropper at 38 m: SOP ~1.9e-9 at -10 dB and ~1e-15 at
+    # 0 dB, where the CDF 1 - xi Q(z) sits at z ~ -6 over most of the range.
+    @pytest.mark.parametrize("gamma0_db", [-10.0, 0.0])
+    @pytest.mark.parametrize(
+        "route,mp_q",
+        [(sop_quad_exact_q, _mp_q_exact), (sop_quad_approx_q, _mp_q_approx)],
+        ids=["exact_q", "approx_q"],
+    )
+    def test_matches_mpmath_within_budget(self, gamma0_db, route, mp_q, monkeypatch):
+        counts = []
+
+        def counted(spec, lambda_scale):
+            res = integrate_semi_infinite(spec, lambda_scale)
+            counts.append(res.subdivisions)
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
+        cfg = SystemConfig(n_elements=256, n_users=1, d_re=38.0, gamma0_db=gamma0_db)
+        value = route(cfg).value
+        assert value == pytest.approx(_mp_sop(cfg, mp_q), rel=1e-8, abs=0.0)
+        assert counts and max(counts) <= 64
+
+    @pytest.mark.parametrize("q", [q_exact, q_approx3])
+    def test_q_reflection(self, q):
+        # The quadrature forms the CDF through Q(-z) = 1 - Q(z).
+        z = np.linspace(-40.0, 40.0, 160_001)
+        z = z[z != 0.0]
+        assert np.max(np.abs(q(-z) - (1.0 - q(z)))) <= 2 * np.finfo(float).eps
+
+    def test_stall_raises_within_budget(self, monkeypatch):
+        def noisy_q(z):
+            return q_exact(z) + 1e-6 * np.cos(1e12 * z)
+
+        calls = []
+
+        def counted(spec, lambda_scale):
+            calls.append(spec.max_subdivisions)
+            return integrate_semi_infinite(spec, lambda_scale)
+
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
+        cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=20.0)
+        with pytest.raises(AccuracyError):
+            quadrature._sop_quad(cfg, noisy_q, None, 1e-10)
+        assert calls == [SOP_MAX_SUBDIVISIONS]

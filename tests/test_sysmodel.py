@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,6 +107,16 @@ class TestDeriveCltParams:
         assert all(x > 0.5 and x <= max(xis) for x in xis)
         for n, xi in zip((16, 32, 64, 128), xis[2:]):
             assert abs(xi - 1.0) < 1e-6, f"xi at N={n}"
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 256, 4096])
+    def test_xi_complement_keeps_relative_accuracy(self, n):
+        # 1 - xi = -Q(z) / Q(-z), z = mu_d / sigma_d: ~-7e-24 at N=64, far
+        # below the rounding of 1 - xi formed from xi.
+        p = derive_clt_params(SystemConfig(n_elements=n))
+        with mpmath.workdps(40):
+            z = mpmath.mpf(p.mu_d) / mpmath.sqrt(mpmath.mpf(p.sigma2_d))
+            expected = float(-mpmath.ncdf(-z) / mpmath.ncdf(z))
+        assert p.xi_complement() == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_rho_always_above_one(self):
         p = derive_clt_params(SystemConfig(r_th=0.01))
