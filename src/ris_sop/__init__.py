@@ -9,126 +9,18 @@ Four mutually cross-validating evaluation routes for the same quantity:
   scheduling benchmark).
 """
 
-from .analytic import (
-    TermContext,
-    i_minus,
-    i_plus,
-    i_plus_term,
-    j_plus,
-    j_plus_term,
-    sop_closed_form,
-    term_context,
-)
-from .asymptotic import (
-    AsymptoticBreakdown,
-    i_plus_term_asym,
-    j_plus_term_asym,
-    sop_asymptotic,
-    sop_asymptotic_closed,
-)
-from .errors import (
-    AccuracyError,
-    CapacityError,
-    ConfigError,
-    ContractError,
-    DomainError,
-    EvaluationError,
-)
-from .mcsim import (
-    ChannelRealization,
-    McEstimate,
-    NomaSlot,
-    SlotOutcome,
-    estimate_noma_pair,
-    estimate_schemes_paired,
-    estimate_sop,
-    noma_slot,
-    ous_slot,
-    realization_rng,
-    sample_gamma_e,
-    sample_realization,
-)
-from .quadrature import (
-    QuadratureSpec,
-    QuadResult,
-    integrate_semi_infinite,
-    sop_quad_approx_q,
-    sop_quad_asymptotic,
-    sop_quad_exact_q,
-)
-from .result import SopResult
-from .specfun import (
-    MultinomialTerm,
-    Q_APPROX,
-    QApproxWeights,
-    exp_times_q,
-    log_q,
-    multinomial_set,
-    q_approx3,
-    q_exact,
-    signed_binom,
-)
-from .sysmodel import (
-    CltParams,
-    SystemConfig,
-    derive_clt_params,
-    path_loss_linear,
-    rho_of,
-)
+from .analytic import sop_closed_form
+from .asymptotic import sop_asymptotic, sop_asymptotic_closed
+from .mcsim import estimate_schemes_paired, estimate_sop
+from .sysmodel import SystemConfig
 
 __all__ = [
-    "AccuracyError",
-    "AsymptoticBreakdown",
-    "CapacityError",
-    "ChannelRealization",
-    "CltParams",
-    "ConfigError",
-    "ContractError",
-    "DomainError",
-    "EvaluationError",
-    "McEstimate",
-    "MultinomialTerm",
-    "NomaSlot",
-    "Q_APPROX",
-    "QApproxWeights",
-    "QuadResult",
-    "QuadratureSpec",
-    "SlotOutcome",
-    "SopResult",
     "SystemConfig",
-    "TermContext",
-    "derive_clt_params",
-    "estimate_noma_pair",
     "estimate_schemes_paired",
     "estimate_sop",
-    "exp_times_q",
-    "i_minus",
-    "i_plus",
-    "i_plus_term",
-    "i_plus_term_asym",
-    "integrate_semi_infinite",
-    "j_plus",
-    "j_plus_term",
-    "j_plus_term_asym",
-    "log_q",
-    "multinomial_set",
-    "noma_slot",
-    "ous_slot",
-    "path_loss_linear",
-    "q_approx3",
-    "q_exact",
-    "realization_rng",
-    "rho_of",
-    "sample_gamma_e",
-    "sample_realization",
-    "signed_binom",
     "sop_asymptotic",
     "sop_asymptotic_closed",
     "sop_closed_form",
-    "sop_quad_approx_q",
-    "sop_quad_asymptotic",
-    "sop_quad_exact_q",
-    "term_context",
 ]
 
 __version__ = "0.1.0"

@@ -20,14 +20,26 @@ parameter.  With it set to 0 they are the high-SNR terms of
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapacityError, ContractError, EvaluationError
-from .result import SopResult
 from .specfun import MultinomialTerm, exp_times_q, multinomial_set, signed_binom
 from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+@dataclass(frozen=True)
+class SopResult:
+    """Closed-form SOP, clipped into [0, 1].
+
+    ``clamp_amount`` is how far the raw expression strayed outside [0, 1]
+    before the clip, so callers can see it rather than have it hidden.
+    """
+
+    value: float
+    clamp_amount: float
 
 
 class TermContext(NamedTuple):
@@ -184,9 +196,4 @@ def sop_closed_form(cfg: SystemConfig) -> SopResult:
         )
     raw = 1.0 - total
     value = min(1.0, max(0.0, raw))
-    return SopResult(
-        value=value,
-        method="closed-form",
-        clamped=value != raw,
-        clamp_amount=abs(value - raw),
-    )
+    return SopResult(value=value, clamp_amount=abs(value - raw))

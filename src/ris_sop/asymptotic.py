@@ -42,15 +42,14 @@ class AsymptoticBreakdown:
     entering the SOP with a minus sign, and ``p2`` the diagnostic remainder
     that the simplified expression deliberately drops; keeping it visible
     lets tests measure, rather than assume, that it is negligible.
-    ``sop_simplified`` equals 1 - p1 - p3; ``sop_closed`` is the fully
-    reduced parametric form.
+    ``sop_simplified`` equals 1 - p1 - p3; :func:`sop_asymptotic_closed`
+    gives the fully reduced parametric form.
     """
 
     p1: float
     p2: float
     p3: float
     sop_simplified: float
-    sop_closed: float
     warnings: tuple[str, ...] = ()
 
 
@@ -103,7 +102,6 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
         p2=p2,
         p3=p3,
         sop_simplified=sop_simplified,
-        sop_closed=sop_asymptotic_closed(cfg),
         warnings=_validity_warnings(cfg),
     )
 

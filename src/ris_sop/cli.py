@@ -112,6 +112,18 @@ def _coerce(name: str, value):
     return float(value)
 
 
+def _check_trials(value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"mc_trials must be a positive integer, got {value!r}")
+    return value
+
+
+def _check_seed(value):
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {value!r}")
+    return value
+
+
 def parse_config(document: str) -> SweepSpec:
     """Parse and validate a JSON sweep document, filling defaults.
 
@@ -177,20 +189,13 @@ def parse_config(document: str) -> SweepSpec:
             raise ConfigError(f"unknown evaluator {e!r}; expected subset of {EVALUATORS}")
     evaluators = tuple(e for e in EVALUATORS if e in evals_doc)
 
-    mc_trials = doc.get("mc_trials", 100_000)
-    if isinstance(mc_trials, bool) or not isinstance(mc_trials, int) or mc_trials < 1:
-        raise ConfigError(f"mc_trials must be a positive integer, got {mc_trials!r}")
-    seed = doc.get("seed", 1)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-
     return SweepSpec(
         base=base,
         axes=tuple(axes),
         schemes=schemes,
         evaluators=evaluators,
-        mc_trials=mc_trials,
-        seed=seed,
+        mc_trials=_check_trials(doc.get("mc_trials", 100_000)),
+        seed=_check_seed(doc.get("seed", 1)),
     )
 
 
@@ -398,6 +403,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _load_spec(args.config)
+        if args.command == "sweep" and args.trials is not None:
+            spec = dataclasses.replace(spec, mc_trials=_check_trials(args.trials))
+        if args.command == "sweep" and args.seed is not None:
+            spec = dataclasses.replace(spec, seed=_check_seed(args.seed))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -409,16 +418,6 @@ def main(argv=None) -> int:
     if args.command == "oracle":
         return _run_oracle(spec)
 
-    if args.trials is not None:
-        if args.trials < 1:
-            print("error: --trials must be >= 1", file=sys.stderr)
-            return 1
-        spec = dataclasses.replace(spec, mc_trials=args.trials)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("error: --seed out of range", file=sys.stderr)
-            return 1
-        spec = dataclasses.replace(spec, seed=args.seed)
     table = run_sweep(spec, workers=max(1, args.workers))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(emit_csv(table))

@@ -7,8 +7,8 @@ reductions of them) and outages are counted.
 
 Reproducibility contract: all randomness comes from counter-based streams
 keyed by (seed, chunk-of-slots, link tag), so the outage count for a given
-(seed, trials, scheme, mode) is bit-identical no matter how many workers
-split the chunks or in which order they finish.
+(seed, trials, scheme, mode) is bit-identical no matter which thread runs
+the estimate or how many sweep points run alongside it.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is
@@ -25,7 +25,6 @@ amplitude model, so neither is expected to match
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +55,6 @@ NOMA_A_BU = 99.0 / 200.0
 
 SCHEMES = ("OUS", "NOMA_BU", "NOMA_WU")
 MODES = ("physical", "independent")
-
-
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed}")
-    return seed
 
 
 def _rng(seed: int, block: int, tag: int) -> np.random.Generator:
@@ -96,11 +89,10 @@ class SlotOutcome:
 
 @dataclass(frozen=True)
 class NomaSlot:
-    """Both per-user outcomes of one NOMA-pair slot plus the chosen split."""
+    """Both per-user outcomes of one NOMA-pair slot."""
 
     bu: SlotOutcome
     wu: SlotOutcome
-    a_bu: float
 
 
 @dataclass(frozen=True)
@@ -248,7 +240,6 @@ def noma_slot(cfg: SystemConfig, realization: ChannelRealization) -> NomaSlot:
             secrecy_rate=cs_wu,
             outage=cs_wu < cfg.r_th,
         ),
-        a_bu=a_bu,
     )
 
 
@@ -335,20 +326,13 @@ def _chunks(trials: int):
         done += size
 
 
-def _run_chunks(fn, trials: int, workers: int):
-    if workers <= 1:
-        return [fn(block, size) for block, size in _chunks(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, block, size) for block, size in _chunks(trials)]
-        return [f.result() for f in futures]
-
-
 def _check_run(mode: str, trials: int, seed: int) -> None:
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed}")
 
 
 def estimate_sop(
@@ -357,22 +341,20 @@ def estimate_sop(
     trials: int,
     seed: int,
     mode: str = "physical",
-    workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo SOP estimate for one scheme at one operating point."""
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme != "OUS":
-        return estimate_schemes_paired(cfg, trials, seed, mode, workers)[scheme]
+        return estimate_schemes_paired(cfg, trials, seed, mode)[scheme]
     _check_run(mode, trials, seed)
     p = derive_clt_params(cfg)
     independent = mode == "independent"
-    counts = _run_chunks(
-        lambda block, size: _ous_chunk(cfg, p, seed, block, size, independent),
-        trials,
-        workers,
+    outages = sum(
+        _ous_chunk(cfg, p, seed, block, size, independent)
+        for block, size in _chunks(trials)
     )
-    return _wilson(sum(counts), trials, seed)
+    return _wilson(outages, trials, seed)
 
 
 def estimate_noma_pair(
@@ -380,10 +362,9 @@ def estimate_noma_pair(
     trials: int,
     seed: int,
     mode: str = "physical",
-    workers: int = 1,
 ) -> tuple[McEstimate, McEstimate]:
     """Both NOMA users' SOP estimates from one shared simulation pass."""
-    est = estimate_schemes_paired(cfg, trials, seed, mode, workers)
+    est = estimate_schemes_paired(cfg, trials, seed, mode)
     return est["NOMA_BU"], est["NOMA_WU"]
 
 
@@ -392,7 +373,6 @@ def estimate_schemes_paired(
     trials: int,
     seed: int,
     mode: str = "physical",
-    workers: int = 1,
 ) -> dict[str, McEstimate]:
     """OUS, NOMA-BU and NOMA-WU estimates from the same channel draws.
 
@@ -406,11 +386,10 @@ def estimate_schemes_paired(
         raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
     p = derive_clt_params(cfg)
     independent = mode == "independent"
-    counts = _run_chunks(
-        lambda block, size: _noma_chunk(cfg, p, seed, block, size, independent),
-        trials,
-        workers,
-    )
+    counts = [
+        _noma_chunk(cfg, p, seed, block, size, independent)
+        for block, size in _chunks(trials)
+    ]
     return {
         "NOMA_BU": _wilson(sum(c[0] for c in counts), trials, seed),
         "NOMA_WU": _wilson(sum(c[1] for c in counts), trials, seed),
@@ -425,9 +404,7 @@ def sample_gamma_e(
     mode: str = "physical",
 ) -> np.ndarray:
     """Eavesdropper SNR samples as the estimator kernels generate them."""
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _check_seed(seed)
+    _check_run(mode, n_samples, seed)
     p = derive_clt_params(cfg)
     independent = mode == "independent"
     out = []

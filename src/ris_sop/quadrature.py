@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .result import SopResult
 from .specfun import q_approx3, q_exact
 from .sysmodel import SystemConfig, derive_clt_params
 
@@ -35,6 +34,9 @@ TAIL_CUTOFF = 35.0
 #: at most a few dozen subdivisions anywhere in the configuration domain, so
 #: running out of it means a stall, which raises AccuracyError promptly.
 SOP_MAX_SUBDIVISIONS = 4096
+
+#: Relative tolerance of the SOP quadratures.
+SOP_REL_TOL = 1e-10
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (positive nodes).
 _K_NODES = np.array(
@@ -101,6 +103,8 @@ class QuadratureSpec:
 
 
 class QuadResult(NamedTuple):
+    """An integral's value, its error bound and the panel splits it took."""
+
     value: float
     error: float
     subdivisions: int
@@ -196,7 +200,7 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
     return QuadResult(total, total_err + tail, splits)
 
 
-def _sop_quad(cfg: SystemConfig, q, offset: float | None, rel_tol: float) -> SopResult:
+def _sop_quad(cfg: SystemConfig, q, offset: float | None) -> QuadResult:
     # SOP = int (1 - xi Q(z(x)))^M exppdf(x) dx with the scheduled user's
     # outage threshold rho * x + offset; z changes sign at the branch point,
     # which becomes a panel boundary when it lies inside the range.
@@ -219,37 +223,36 @@ def _sop_quad(cfg: SystemConfig, q, offset: float | None, rel_tol: float) -> Sop
 
     spec = QuadratureSpec(
         integrand=integrand,
-        rel_tol=rel_tol,
+        rel_tol=SOP_REL_TOL,
         max_subdivisions=SOP_MAX_SUBDIVISIONS,
         breakpoints=(p.branch_point(offset),),
     )
-    res = integrate_semi_infinite(spec, p.lambda_e)
-    return SopResult(value=res.value, method="quadrature", error_estimate=res.error)
+    return integrate_semi_infinite(spec, p.lambda_e)
 
 
-def sop_quad_exact_q(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
+def sop_quad_exact_q(cfg: SystemConfig) -> QuadResult:
     """Reference SOP: exact Q-function inside the scheduled-user CDF.
 
     This is the model-level ground truth every other route is compared to.
     """
-    return _sop_quad(cfg, q_exact, None, rel_tol)
+    return _sop_quad(cfg, q_exact, None)
 
 
-def sop_quad_approx_q(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
+def sop_quad_approx_q(cfg: SystemConfig) -> QuadResult:
     """SOP with the three-exponential Q inside the integrand.
 
     Numerically integrates exactly what the closed form evaluates
     analytically, so agreement with :func:`ris_sop.analytic.sop_closed_form`
     certifies the term algebra with no approximation gap in between.
     """
-    return _sop_quad(cfg, q_approx3, None, rel_tol)
+    return _sop_quad(cfg, q_approx3, None)
 
 
-def sop_quad_asymptotic(cfg: SystemConfig, rel_tol: float = 1e-10) -> SopResult:
+def sop_quad_asymptotic(cfg: SystemConfig) -> QuadResult:
     """SOP under the high-SNR simplification of the outage threshold.
 
     Same integrand as :func:`sop_quad_exact_q` but with the additive
     (rho - 1) term set to 0, i.e. thresholds ``rho * x`` instead of
     ``rho * x + rho - 1``.  Valid only where SNRs dwarf unity.
     """
-    return _sop_quad(cfg, q_exact, 0.0, rel_tol)
+    return _sop_quad(cfg, q_exact, 0.0)

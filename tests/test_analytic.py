@@ -177,7 +177,7 @@ class TestOrderLevelSums:
             for w, p in zip(Q_APPROX.w, Q_APPROX.p)
         )
         for m in (1, 2):
-            assert j_plus(m, params) == pytest.approx(s0**m, rel=1e-9)
+            assert j_plus(m, params) == pytest.approx(s0**m, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_i_plus_matches_quadrature_and_is_dominated(self, m):

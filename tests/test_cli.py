@@ -171,6 +171,25 @@ class TestMain:
         (row,) = parse_csv(out.read_text())
         assert row.mc_trials == 100
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "mc_trials must be a positive integer, got 0"),
+            ("--seed", "-1", "seed must be an integer in [0, 2^64), got -1"),
+            ("--seed", str(2**64), "seed must be an integer in [0, 2^64)"),
+        ],
+    )
+    def test_sweep_rejects_out_of_range_overrides(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"evaluators": ["mc"], "mc_trials": 100}')
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_reports_row_failures(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ris_sop import quadrature
 from ris_sop.analytic import sop_closed_form
-from ris_sop.asymptotic import sop_asymptotic
+from ris_sop.asymptotic import sop_asymptotic, sop_asymptotic_closed
 from ris_sop.errors import PACKAGE_ERRORS
 from ris_sop.quadrature import (
     SOP_MAX_SUBDIVISIONS,
@@ -20,7 +20,7 @@ from ris_sop.sysmodel import SystemConfig
 EVALUATORS = {
     "closed": lambda cfg: [sop_closed_form(cfg).value],
     "asymptotic": lambda cfg: [
-        getattr(sop_asymptotic(cfg), f) for f in ("sop_simplified", "sop_closed")
+        sop_asymptotic(cfg).sop_simplified, sop_asymptotic_closed(cfg)
     ],
     "quad_exact": lambda cfg: [sop_quad_exact_q(cfg).value],
     "quad_approx": lambda cfg: [sop_quad_approx_q(cfg).value],

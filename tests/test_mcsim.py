@@ -69,6 +69,15 @@ class TestSampling:
         se = g.std() / math.sqrt(g.size)
         assert abs(g.mean() - PARAMS.lambda_e) < 3 * se
 
+    def test_eavesdropper_sampling_rejects_bad_arguments(self):
+        for n_samples in (0, -5):
+            with pytest.raises(DomainError):
+                sample_gamma_e(CFG, n_samples, seed=1)
+        with pytest.raises(DomainError):
+            sample_gamma_e(CFG, 10, seed=-1)
+        with pytest.raises(DomainError):
+            sample_gamma_e(CFG, 10, seed=1, mode="quantum")
+
     def test_eavesdropper_goodness_of_fit(self):
         # The exponential law is exact only in the large-N limit; at N=64
         # the sampled statistic sits just inside the 1% critical band.
@@ -116,7 +125,9 @@ class TestNomaSlot:
         for s in range(100):
             r = sample_realization(CFG, realization_rng(14, s))
             ns = noma_slot(CFG, r)
-            assert 0.0 < ns.a_bu < 0.5
+            # The strong user's SNR is its power share times the full-power
+            # SNR of the same best user.
+            assert 0.0 < ns.bu.gamma_d_star / ous_slot(CFG, r).gamma_d_star < 0.5
             assert ns.bu.selected_user != ns.wu.selected_user
 
     def test_best_user_matches_opportunistic_choice(self):
@@ -142,13 +153,6 @@ class TestEstimateSop:
         est = estimate_sop(CFG, "OUS", 1, seed=5)
         assert est.sop_hat in (0.0, 1.0)
         assert est.trials == 1
-
-    def test_worker_count_invariance(self):
-        counts = {
-            estimate_sop(CFG, "OUS", 200_000, seed=7, workers=w).outages
-            for w in (1, 4, 16)
-        }
-        assert len(counts) == 1
 
     def test_repeatability(self):
         a = estimate_sop(CFG, "OUS", 50_000, seed=123)
@@ -252,12 +256,25 @@ class TestNomaEstimates:
             assert ests["NOMA_WU"].outages >= ests["NOMA_BU"].outages
             assert ests["NOMA_WU"].sop_hat >= 0.9
 
-    def test_worker_count_invariance(self):
-        counts = {
-            estimate_noma_pair(CFG, 60_000, seed=8, workers=w)[0].outages
-            for w in (1, 4)
-        }
-        assert len(counts) == 1
+    @pytest.mark.parametrize(
+        "scheme, gamma0_db, r_th", [("NOMA_BU", -10.0, 0.1), ("NOMA_WU", 10.0, 0.05)]
+    )
+    def test_matches_slot_level_path(self, scheme, gamma0_db, r_th):
+        # Points where the compared SOP lies well inside (0, 1): about 0.20
+        # for the strong user and 0.94 for the weak one.
+        trials = 8000
+        cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=gamma0_db, r_th=r_th)
+        user = "bu" if scheme == "NOMA_BU" else "wu"
+        slot_outages = sum(
+            getattr(
+                noma_slot(cfg, sample_realization(cfg, realization_rng(77, s))), user
+            ).outage
+            for s in range(trials)
+        )
+        slot_hat = slot_outages / trials
+        est = estimate_sop(cfg, scheme, 200_000, seed=78)
+        comb = math.sqrt(slot_hat * (1 - slot_hat) / trials + est.stderr**2)
+        assert abs(slot_hat - est.sop_hat) < 4 * comb
 
 
 def _noma_pair_snrs(n, m, gamma0_db, slots, seed):
