@@ -147,19 +147,11 @@ def parse_config(document: str) -> SweepSpec:
         raise ConfigError("'base' must be an object")
     field_names = [f.name for f in dataclasses.fields(SystemConfig)]
     _reject_unknown(base_doc, set(field_names), "'base'")
-    try:
-        base = SystemConfig(
-            **{k: _coerce(k, v) for k, v in base_doc.items()}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid base configuration: {exc}") from exc
 
-    sweep_doc = doc.get("sweep", {"gamma0_db": [base.gamma0_db]})
+    sweep_doc = doc.get("sweep", {})
     if not isinstance(sweep_doc, dict):
         raise ConfigError("'sweep' must be an object mapping axis -> values")
     _reject_unknown(sweep_doc, set(AXES), "'sweep'")
-    if not sweep_doc:
-        sweep_doc = {"gamma0_db": [base.gamma0_db]}
     axes = []
     grid_size = 1
     for name in AXES:  # canonical axis order, leftmost slowest
@@ -172,6 +164,20 @@ def parse_config(document: str) -> SweepSpec:
         grid_size *= len(values)
     if grid_size > _MAX_GRID:
         raise ConfigError(f"grid has {grid_size} points, cap is {_MAX_GRID}")
+    where = "base configuration"
+    try:
+        base = SystemConfig(
+            **{k: _coerce(k, v) for k, v in base_doc.items()}
+        )
+        # Every SystemConfig check is per field, so checking each axis value
+        # alone against the base checks every grid point.
+        for name, values in axes:
+            for value in values:
+                where = f"sweep axis {name!r} value {value!r}"
+                dataclasses.replace(base, **{name: value})
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+    axes = axes or [("gamma0_db", (base.gamma0_db,))]
 
     schemes_doc = doc.get("schemes", ["OUS"])
     if not isinstance(schemes_doc, list) or not schemes_doc:

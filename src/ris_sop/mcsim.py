@@ -1,9 +1,10 @@
 """Physical Monte Carlo simulation of the multi-user RIS downlink.
 
 Unlike the analytic chain, nothing here relies on the Gaussian amplitude
-model or the destination/eavesdropper independence assumption: channels are
-drawn as the actual complex fading coefficients (or exact distributional
-reductions of them) and outages are counted.
+model or the destination/eavesdropper independence assumption: the chunk
+kernels draw exact distributional reductions of the complex fading
+coefficients and count outages.  The test suite certifies each kernel
+against an independent full-complex reference simulator.
 
 Reproducibility contract: all randomness comes from counter-based streams
 keyed by (seed, chunk-of-slots, link tag), so the outage count for a given
@@ -36,7 +37,6 @@ from .sysmodel import SystemConfig, derive_clt_params
 #: total trial count never change which stream a slot draws from.
 CHUNK_SLOTS = 1 << 14
 
-_TAG_SLOT = 0  # single-slot sampling helper
 _TAG_DEST_SR = 1  # source-to-surface powers shared by the legitimate links
 _TAG_DEST_RD = 2  # surface-to-user links
 _TAG_EAV = 3  # eavesdropper combining draw
@@ -60,39 +60,6 @@ MODES = ("physical", "independent")
 def _rng(seed: int, block: int, tag: int) -> np.random.Generator:
     key = np.array([seed, (block << 4) | tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of every fading coefficient for one time slot.
-
-    ``h_sr`` has shape (N,), ``h_rd`` shape (N, M), ``h_re`` shape (N,);
-    all entries are zero-mean circularly-symmetric complex Gaussians whose
-    second moment equals the linear path gain of the respective link.
-    """
-
-    h_sr: np.ndarray
-    h_rd: np.ndarray
-    h_re: np.ndarray
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Per-slot scheduling result (user indices are 0-based)."""
-
-    selected_user: int
-    gamma_d_star: float
-    gamma_e: float
-    secrecy_rate: float
-    outage: bool
-
-
-@dataclass(frozen=True)
-class NomaSlot:
-    """Both per-user outcomes of one NOMA-pair slot."""
-
-    bu: SlotOutcome
-    wu: SlotOutcome
 
 
 @dataclass(frozen=True)
@@ -128,118 +95,6 @@ def _wilson(outages: int, trials: int, seed: int) -> McEstimate:
         ci_low=0.0 if outages == 0 else max(0.0, center - half),
         ci_high=1.0 if outages == n else min(1.0, center + half),
         seed=seed,
-    )
-
-
-def realization_rng(seed: int, slot: int) -> np.random.Generator:
-    """Counter-based stream for one explicitly indexed slot."""
-    return _rng(seed, slot, _TAG_SLOT)
-
-
-def _complex_gaussian(rng, shape, gain: float) -> np.ndarray:
-    z = rng.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) * math.sqrt(gain / 2.0)
-
-
-def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one slot's worth of fading coefficients.
-
-    Coefficients come out in a fixed order (source-surface, surface-users,
-    surface-eavesdropper) so a given stream state always yields the same
-    realization.
-    """
-    p = derive_clt_params(cfg)
-    n, m = cfg.n_elements, cfg.n_users
-    return ChannelRealization(
-        h_sr=_complex_gaussian(rng, (n,), p.zeta_sr),
-        h_rd=_complex_gaussian(rng, (n, m), p.zeta_rd),
-        h_re=_complex_gaussian(rng, (n,), p.zeta_re),
-    )
-
-
-def _secrecy_rate(gamma_d: float, gamma_e: float) -> float:
-    return max(math.log2((1.0 + gamma_d) / (1.0 + gamma_e)), 0.0)
-
-
-def ous_slot(cfg: SystemConfig, realization: ChannelRealization) -> SlotOutcome:
-    """Schedule the best user and evaluate the slot's secrecy outcome.
-
-    The surface phases are aligned to the selected user, which turns its
-    destination SNR into the squared sum of amplitude products; the
-    eavesdropper sees those same phases applied to its own (unaligned)
-    channel.  Ties in the selection break toward the lowest user index.
-    """
-    p = derive_clt_params(cfg)
-    amps = np.abs(realization.h_rd) * np.abs(realization.h_sr)[:, None]
-    sums = amps.sum(axis=0)
-    best = int(np.argmax(sums))
-    gamma_d = p.gamma0 * sums[best] ** 2
-    theta = -(np.angle(realization.h_sr) + np.angle(realization.h_rd[:, best]))
-    g_e = np.sum(realization.h_re * np.exp(1j * theta) * realization.h_sr)
-    gamma_e = p.gamma0 * abs(g_e) ** 2
-    rate = _secrecy_rate(gamma_d, gamma_e)
-    return SlotOutcome(
-        selected_user=best,
-        gamma_d_star=float(gamma_d),
-        gamma_e=float(gamma_e),
-        secrecy_rate=rate,
-        outage=rate < cfg.r_th,
-    )
-
-
-def noma_slot(cfg: SystemConfig, realization: ChannelRealization) -> NomaSlot:
-    """Run one slot of the two-user NOMA benchmark.
-
-    The pair is the best user (surface phases aligned to it, exactly as in
-    the opportunistic scheme) and the worst user under those same phases.
-    The strong user gets the fixed share :data:`NOMA_A_BU`, the point of the
-    benchmark's split grid that maximizes the instantaneous legitimate sum
-    rate subject to the strong user getting the smaller share.  Decoding
-    order everywhere (eavesdropper included): weak-user message first,
-    treating the strong user's signal as interference; the strong user
-    cancels it before decoding its own.
-    """
-    if cfg.n_users < 2:
-        raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
-    p = derive_clt_params(cfg)
-    amps = np.abs(realization.h_rd) * np.abs(realization.h_sr)[:, None]
-    sums = amps.sum(axis=0)
-    bu = int(np.argmax(sums))
-    theta = -(np.angle(realization.h_sr) + np.angle(realization.h_rd[:, bu]))
-    rot = np.exp(1j * theta) * realization.h_sr
-    g_all = rot @ realization.h_rd  # aligned effective channel of every user
-    gamma_all = p.gamma0 * np.abs(g_all) ** 2
-    masked = gamma_all.copy()
-    masked[bu] = np.inf
-    wu = int(np.argmin(masked))
-    gamma_bu = p.gamma0 * sums[bu] ** 2
-    gamma_wu = float(gamma_all[wu])
-    g_e = np.sum(realization.h_re * rot)
-    gamma_e = p.gamma0 * abs(g_e) ** 2
-
-    a_bu = NOMA_A_BU
-    rate_bu = math.log2(1.0 + a_bu * gamma_bu)
-    eav_bu = math.log2(1.0 + a_bu * gamma_e)
-    sinr_wu = (1.0 - a_bu) * gamma_wu / (a_bu * gamma_wu + 1.0)
-    rate_wu = math.log2(1.0 + sinr_wu)
-    eav_wu = math.log2(1.0 + (1.0 - a_bu) * gamma_e / (a_bu * gamma_e + 1.0))
-    cs_bu = max(rate_bu - eav_bu, 0.0)
-    cs_wu = max(rate_wu - eav_wu, 0.0)
-    return NomaSlot(
-        bu=SlotOutcome(
-            selected_user=bu,
-            gamma_d_star=float(a_bu * gamma_bu),
-            gamma_e=float(a_bu * gamma_e),
-            secrecy_rate=cs_bu,
-            outage=cs_bu < cfg.r_th,
-        ),
-        wu=SlotOutcome(
-            selected_user=wu,
-            gamma_d_star=float(sinr_wu),
-            gamma_e=float((1.0 - a_bu) * gamma_e / (a_bu * gamma_e + 1.0)),
-            secrecy_rate=cs_wu,
-            outage=cs_wu < cfg.r_th,
-        ),
     )
 
 
@@ -283,6 +138,9 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
 
 
 def _noma_chunk(cfg, p, seed, block, size, independent):
+    # Decoding order everywhere (eavesdropper included): weak-user message
+    # first, treating the strong user's signal as interference; the strong
+    # user cancels it before decoding its own.
     n, m = cfg.n_elements, cfg.n_users
     g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
     sr_amp = np.sqrt(p.zeta_sr * g_sr)

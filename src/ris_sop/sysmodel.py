@@ -37,6 +37,9 @@ class SystemConfig:
     r_th: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.n_elements < 1:
             raise DomainError(f"n_elements must be >= 1, got {self.n_elements}")
         if self.n_users < 1:

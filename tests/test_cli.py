@@ -190,6 +190,34 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"sweep": {"d_re": [30, -5]}}', "sweep axis 'd_re' value -5.0"),
+            ('{"sweep": {"gamma0_db": [0, NaN]}}', "sweep axis 'gamma0_db' value nan"),
+            ('{"sweep": {"d_rd": [Infinity]}}', "d_rd must be finite, got inf"),
+            ('{"sweep": {"r_th": [-Infinity]}}', "r_th must be finite, got -inf"),
+            ('{"base": {"gamma0_db": NaN}, "evaluators": ["mc"]}',
+             "invalid base configuration: gamma0_db must be finite, got nan"),
+            ('{"base": {"d_sr": Infinity}}', "d_sr must be finite, got inf"),
+            ('{"base": {"z0": -Infinity}}', "z0 must be finite, got -inf"),
+        ],
+        ids=["axis-negative", "axis-nan", "axis-inf", "axis-minus-inf",
+             "base-nan", "base-inf", "base-minus-inf"],
+    )
+    def test_every_subcommand_rejects_bad_values(
+        self, tmp_path, capsys, document, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(document)
+        out = tmp_path / "o.csv"
+        for args in (["validate"], ["oracle"], ["sweep", "--out", str(out)]):
+            assert main([*args, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err
+        assert not out.exists()
+
     def test_sweep_reports_row_failures(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

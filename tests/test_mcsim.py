@@ -8,16 +8,11 @@ from scipy import stats
 from ris_sop.errors import ContractError, DomainError
 from ris_sop.mcsim import (
     NOMA_A_BU,
-    _complex_gaussian,
     _wilson,
     estimate_noma_pair,
     estimate_schemes_paired,
     estimate_sop,
-    noma_slot,
-    ous_slot,
-    realization_rng,
     sample_gamma_e,
-    sample_realization,
 )
 from ris_sop.quadrature import sop_quad_exact_q
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
@@ -27,42 +22,14 @@ PARAMS = derive_clt_params(CFG)
 
 
 class TestSampling:
-    def test_shapes_and_determinism(self):
-        r1 = sample_realization(CFG, realization_rng(9, 4))
-        r2 = sample_realization(CFG, realization_rng(9, 4))
-        r3 = sample_realization(CFG, realization_rng(9, 5))
-        assert r1.h_sr.shape == (64,)
-        assert r1.h_rd.shape == (64, 3)
-        assert r1.h_re.shape == (64,)
-        assert np.array_equal(r1.h_sr, r2.h_sr)
-        assert np.array_equal(r1.h_rd, r2.h_rd)
-        assert not np.array_equal(r1.h_sr, r3.h_sr)
-
-    def test_zero_gain_gives_zero_coefficients(self):
-        z = _complex_gaussian(realization_rng(1, 0), (16,), 0.0)
-        assert np.all(z == 0)
-
-    def test_element_amplitude_mean(self):
-        # 1e6 coefficients: E|h| = sqrt(pi * zeta) / 2 for Rayleigh links
-        cfg = SystemConfig(n_elements=1000, n_users=1)
-        p = derive_clt_params(cfg)
-        amps = np.concatenate(
-            [np.abs(sample_realization(cfg, realization_rng(3, s)).h_sr)
-             for s in range(1000)]
-        )
-        mean = amps.mean()
-        expected = math.sqrt(math.pi * p.zeta_sr) / 2.0
-        se = amps.std() / math.sqrt(amps.size)
-        assert abs(mean - expected) < 3 * se
-
     def test_aggregate_amplitude_mean_matches_model(self):
-        sums = []
-        for s in range(3000):
-            r = sample_realization(CFG, realization_rng(11, s))
-            sums.append((np.abs(r.h_rd) * np.abs(r.h_sr)[:, None]).sum(axis=0))
-        sums = np.asarray(sums)
-        se = sums.std() / math.sqrt(sums.size)
-        assert abs(sums.mean() - PARAMS.mu_d) < 3 * se
+        # With one user the reference's aggregate amplitude is
+        # sqrt(gamma_bu / gamma0), whose mean is mu_d exactly.
+        cfg = SystemConfig(n_elements=64, n_users=1)
+        p = derive_clt_params(cfg)
+        amps = np.sqrt(_bruteforce_snrs(cfg, 20_000, seed=11)[0] / p.gamma0)
+        se = amps.std() / math.sqrt(amps.size)
+        assert abs(amps.mean() - p.mu_d) < 3 * se
 
     def test_eavesdropper_mean_matches_model(self):
         g = sample_gamma_e(CFG, 1_000_000, seed=21)
@@ -84,56 +51,6 @@ class TestSampling:
         g = sample_gamma_e(CFG, 100_000, seed=17)
         d = stats.kstest(g, "expon", args=(0.0, PARAMS.lambda_e)).statistic
         assert d < 1.6276 / math.sqrt(g.size)
-
-
-class TestOusSlot:
-    def test_single_user_always_selected(self):
-        cfg = SystemConfig(n_elements=32, n_users=1)
-        for s in range(5):
-            out = ous_slot(cfg, sample_realization(cfg, realization_rng(2, s)))
-            assert out.selected_user == 0
-
-    def test_alignment_optimality_identity(self):
-        # Explicit phase rotation must reproduce the amplitude-sum SNR.
-        r = sample_realization(CFG, realization_rng(8, 0))
-        out = ous_slot(CFG, r)
-        m = out.selected_user
-        theta = -(np.angle(r.h_sr) + np.angle(r.h_rd[:, m]))
-        coherent = np.sum(r.h_rd[:, m] * np.exp(1j * theta) * r.h_sr)
-        gamma_rot = PARAMS.gamma0 * abs(coherent) ** 2
-        assert gamma_rot == pytest.approx(out.gamma_d_star, rel=1e-12)
-
-    def test_selected_user_is_argmax(self):
-        for s in range(20):
-            r = sample_realization(CFG, realization_rng(13, s))
-            out = ous_slot(CFG, r)
-            per_user = PARAMS.gamma0 * (
-                (np.abs(r.h_rd) * np.abs(r.h_sr)[:, None]).sum(axis=0) ** 2
-            )
-            assert out.gamma_d_star >= per_user.max() * (1 - 1e-12)
-            assert out.secrecy_rate >= 0.0
-            assert out.outage == (out.secrecy_rate < CFG.r_th)
-
-
-class TestNomaSlot:
-    def test_needs_two_users(self):
-        cfg = SystemConfig(n_elements=16, n_users=1)
-        with pytest.raises(ContractError):
-            noma_slot(cfg, sample_realization(cfg, realization_rng(1, 0)))
-
-    def test_split_strictly_favors_weak_user(self):
-        for s in range(100):
-            r = sample_realization(CFG, realization_rng(14, s))
-            ns = noma_slot(CFG, r)
-            # The strong user's SNR is its power share times the full-power
-            # SNR of the same best user.
-            assert 0.0 < ns.bu.gamma_d_star / ous_slot(CFG, r).gamma_d_star < 0.5
-            assert ns.bu.selected_user != ns.wu.selected_user
-
-    def test_best_user_matches_opportunistic_choice(self):
-        for s in range(20):
-            r = sample_realization(CFG, realization_rng(15, s))
-            assert noma_slot(CFG, r).bu.selected_user == ous_slot(CFG, r).selected_user
 
 
 class TestEstimateSop:
@@ -175,41 +92,34 @@ class TestEstimateSop:
             assert none.sop_hat == none.ci_low == 0.0, n
             assert full.ci_low < 1.0 and none.ci_high > 0.0, n
 
-    def test_matches_bruteforce_simulator(self):
-        # Independent implementation: full complex coefficients, explicit
-        # surface phase rotation, no distributional reductions.
-        trials, block = 100_000, 2000
-        p = PARAMS
-        rng = np.random.default_rng(2024)
-        outages = 0
-        for _ in range(trials // block):
-            h_sr = _cn(rng, (block, 64), p.zeta_sr)
-            h_rd = _cn(rng, (block, 64, 3), p.zeta_rd)
-            h_re = _cn(rng, (block, 64), p.zeta_re)
-            a = (np.abs(h_rd) * np.abs(h_sr)[:, :, None]).sum(axis=1)
-            best = np.argmax(a, axis=1)
-            rows = np.arange(block)
-            gamma_d = p.gamma0 * a[rows, best] ** 2
-            theta = -(np.angle(h_sr) + np.angle(h_rd[rows, :, best]))
-            g_e = (h_re * np.exp(1j * theta) * h_sr).sum(axis=1)
-            gamma_e = p.gamma0 * np.abs(g_e) ** 2
-            outages += int(np.count_nonzero(gamma_d < p.rho * gamma_e + p.rho - 1))
-        brute = outages / trials
-        est = estimate_sop(CFG, "OUS", trials, seed=31)
-        comb = math.sqrt(brute * (1 - brute) / trials + est.stderr**2)
+    @pytest.mark.parametrize(
+        "scheme, gamma0_db, r_th",
+        [
+            ("OUS", 0.0, 1.0),
+            ("OUS", 20.0, 1.0),
+            ("NOMA_BU", -10.0, 0.1),
+            ("NOMA_WU", 10.0, 0.05),
+        ],
+    )
+    def test_matches_bruteforce_simulator(self, scheme, gamma0_db, r_th):
+        # The NOMA points put the compared SOP well inside (0, 1): about 0.20
+        # for the strong user and 0.94 for the weak one.
+        slots = 100_000
+        cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=gamma0_db, r_th=r_th)
+        gamma_bu, gamma_wu, gamma_e = _bruteforce_snrs(cfg, slots, seed=2024)
+        a = NOMA_A_BU
+        if scheme == "OUS":
+            rate = np.log2(1.0 + gamma_bu) - np.log2(1.0 + gamma_e)
+        elif scheme == "NOMA_BU":
+            rate = np.log2(1.0 + a * gamma_bu) - np.log2(1.0 + a * gamma_e)
+        else:
+            sinr_wu = (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)
+            sinr_e = (1.0 - a) * gamma_e / (a * gamma_e + 1.0)
+            rate = np.log2(1.0 + sinr_wu) - np.log2(1.0 + sinr_e)
+        brute = np.count_nonzero(rate < r_th) / slots
+        est = estimate_sop(cfg, scheme, 200_000, seed=31)
+        comb = math.sqrt(brute * (1 - brute) / slots + est.stderr**2)
         assert abs(brute - est.sop_hat) < 4 * comb
-
-    def test_matches_slot_level_path(self):
-        trials = 8000
-        cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=0.0)
-        slot_outages = sum(
-            ous_slot(cfg, sample_realization(cfg, realization_rng(77, s))).outage
-            for s in range(trials)
-        )
-        slot_hat = slot_outages / trials
-        est = estimate_sop(cfg, "OUS", 200_000, seed=78)
-        comb = math.sqrt(slot_hat * (1 - slot_hat) / trials + est.stderr**2)
-        assert abs(slot_hat - est.sop_hat) < 4 * comb
 
     def test_shared_channel_coupling_is_visible(self):
         # Sharing the source-surface draw with the eavesdropper lowers the
@@ -256,45 +166,39 @@ class TestNomaEstimates:
             assert ests["NOMA_WU"].outages >= ests["NOMA_BU"].outages
             assert ests["NOMA_WU"].sop_hat >= 0.9
 
-    @pytest.mark.parametrize(
-        "scheme, gamma0_db, r_th", [("NOMA_BU", -10.0, 0.1), ("NOMA_WU", 10.0, 0.05)]
-    )
-    def test_matches_slot_level_path(self, scheme, gamma0_db, r_th):
-        # Points where the compared SOP lies well inside (0, 1): about 0.20
-        # for the strong user and 0.94 for the weak one.
-        trials = 8000
-        cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=gamma0_db, r_th=r_th)
-        user = "bu" if scheme == "NOMA_BU" else "wu"
-        slot_outages = sum(
-            getattr(
-                noma_slot(cfg, sample_realization(cfg, realization_rng(77, s))), user
-            ).outage
-            for s in range(trials)
-        )
-        slot_hat = slot_outages / trials
-        est = estimate_sop(cfg, scheme, 200_000, seed=78)
-        comb = math.sqrt(slot_hat * (1 - slot_hat) / trials + est.stderr**2)
-        assert abs(slot_hat - est.sop_hat) < 4 * comb
 
+def _bruteforce_snrs(cfg, slots, seed):
+    """Per-slot (gamma_bu, gamma_wu, gamma_e) from full complex coefficients.
 
-def _noma_pair_snrs(n, m, gamma0_db, slots, seed):
-    """Per-slot (gamma_bu, gamma_wu) from full complex coefficients.
-
-    The best user maximizes the aligned amplitude sum; the worst user has
-    the weakest effective channel under the best user's surface phases.
+    The reference the chunk kernels are certified against: explicit surface
+    phase rotation and no distributional reductions.  The best user maximizes
+    the amplitude sum and the surface phases align to it; the worst user has
+    the weakest effective channel under those phases, and the eavesdropper
+    combines through them.
     """
-    p = derive_clt_params(SystemConfig(n_elements=n, n_users=m, gamma0_db=gamma0_db))
+    p = derive_clt_params(cfg)
+    n, m = cfg.n_elements, cfg.n_users
     rng = np.random.default_rng(seed)
-    h_sr = _cn(rng, (slots, n), p.zeta_sr)
-    h_rd = _cn(rng, (slots, n, m), p.zeta_rd)
-    sums = (np.abs(h_rd) * np.abs(h_sr)[:, :, None]).sum(axis=1)
-    rows = np.arange(slots)
-    bu = np.argmax(sums, axis=1)
-    theta = -(np.angle(h_sr) + np.angle(h_rd[rows, :, bu]))
-    g_all = np.einsum("sn,snm->sm", np.exp(1j * theta) * h_sr, h_rd)
-    gamma_all = p.gamma0 * np.abs(g_all) ** 2
-    gamma_all[rows, bu] = np.inf
-    return p.gamma0 * sums[rows, bu] ** 2, gamma_all.min(axis=1)
+    parts = []
+    for start in range(0, slots, 2000):
+        block = min(2000, slots - start)
+        h_sr = _cn(rng, (block, n), p.zeta_sr)
+        h_rd = _cn(rng, (block, n, m), p.zeta_rd)
+        h_re = _cn(rng, (block, n), p.zeta_re)
+        sums = (np.abs(h_rd) * np.abs(h_sr)[:, :, None]).sum(axis=1)
+        rows = np.arange(block)
+        bu = np.argmax(sums, axis=1)
+        theta = -(np.angle(h_sr) + np.angle(h_rd[rows, :, bu]))
+        rot = np.exp(1j * theta) * h_sr
+        gamma_all = p.gamma0 * np.abs(np.einsum("sn,snm->sm", rot, h_rd)) ** 2
+        gamma_bu = p.gamma0 * sums[rows, bu] ** 2
+        # Alignment optimality: the rotated sum of the best user's channel
+        # is the amplitude sum the kernels square.
+        np.testing.assert_allclose(gamma_all[rows, bu], gamma_bu, rtol=1e-12, atol=0)
+        gamma_all[rows, bu] = np.inf
+        gamma_e = p.gamma0 * np.abs((h_re * rot).sum(axis=1)) ** 2
+        parts.append((gamma_bu, gamma_all.min(axis=1), gamma_e))
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 class TestNomaPowerSplit:
@@ -312,7 +216,8 @@ class TestNomaPowerSplit:
         for seed, (g, m, n) in enumerate(
             product(range(-60, 61, 10), (2, 3, 8), (1, 4, 64))
         ):
-            gb, gw = _noma_pair_snrs(n, m, float(g), 1024, seed)
+            cfg = SystemConfig(n_elements=n, n_users=m, gamma0_db=float(g))
+            gb, gw, _ = _bruteforce_snrs(cfg, 1024, seed)
             assert np.all(gw <= gb * (1.0 + 1e-12))
             best = sum_rate(grid[None, :], gb[:, None], gw[:, None]).max(axis=1)
             top = sum_rate(NOMA_A_BU, gb, gw)

@@ -134,6 +134,10 @@ class TestSystemConfigValidation:
             {"d_re": 0.0},
             {"r_th": 0.0},
             {"upsilon": 0.0},
+            {"r_th": float("nan")},
+            {"d_re": float("inf")},
+            {"gamma0_db": float("nan")},
+            {"z0": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
