@@ -7,10 +7,8 @@ across a wide transmit-SNR sweep, so every term is assembled in log domain
 and recombined through :func:`ris_sop.specfun.exp_times_q`; a naive
 evaluation overflows long before the interesting operating points.
 
-Two integration branches exist depending on whether the Q-function argument
-can go negative inside the integral, selected by the sign of
-``mu_d^2 * gamma0 - (rho - 1)``; the boundary itself belongs to the simpler
-single-branch case.
+The outer integral splits where the Q-function argument changes sign, so
+that a small SOP is never ``1 - total`` with ``total`` near 1.
 
 The terms and order sums take the threshold offset ``rho - 1`` as a
 parameter.  With it set to 0 they are the high-SNR terms of
@@ -144,13 +142,6 @@ def i_plus(m: int, params: CltParams, offset: float | None = None) -> float:
     )
 
 
-def _i_minus_from(m: int, j_vals, i_vals, exp_alpha: float) -> float:
-    correction = sum(
-        signed_binom(m, j) * (j_vals[j] - i_vals[j]) for j in range(1, m + 1)
-    )
-    return 1.0 - exp_alpha - correction
-
-
 def i_minus(m: int, params: CltParams) -> float:
     """Order-m head integral over [0, alpha] of the mirrored-branch power.
 
@@ -160,40 +151,36 @@ def i_minus(m: int, params: CltParams) -> float:
     alpha = params.branch_point()
     if alpha <= 0:
         raise ContractError(f"i_minus requires mu^2*gamma0 > rho-1, got alpha={alpha}")
-    j_vals = {j: j_plus(j, params) for j in range(1, m + 1)}
-    i_vals = {j: i_plus(j, params) for j in range(1, m + 1)}
-    return _i_minus_from(m, j_vals, i_vals, math.exp(-alpha / params.lambda_e))
+    correction = sum(
+        signed_binom(m, j) * (j_plus(j, params) - i_plus(j, params))
+        for j in range(1, m + 1)
+    )
+    return 1.0 - math.exp(-alpha / params.lambda_e) - correction
 
 
 def sop_closed_form(cfg: SystemConfig) -> SopResult:
     """Closed-form SOP of the best-user scheduler.
 
-    Combines the per-order integrals with the alternating binomial weights
-    and the normalization constant xi.  The approximation can leave [0, 1]
-    by a hair at extreme parameters, so the result is clipped with the clamp
-    magnitude surfaced rather than hidden.
+    Split at alpha+ = max(alpha, 0): below it the fitted CDF is
+    (1 - xi) + xi * fit, with order-m integrals J+(m) - I+(m); above it
+    1 - xi * fit, with T(m) = I+(m) (J+(m) when alpha <= 0, where the head is
+    exactly 0).  The result is clipped into [0, 1], the clamp surfaced.
     """
     params = derive_clt_params(cfg)
     m_users = cfg.n_users
     if m_users > 16:
         raise CapacityError(f"n_users capped at 16 for the closed form, got {m_users}")
-    xi = params.xi
+    xi, xi_c = params.xi, params.xi_complement()
     alpha = params.branch_point()
-    if alpha <= 0:
-        total = sum(
-            signed_binom(m_users, m) * xi**m * j_plus(m, params)
-            for m in range(1, m_users + 1)
-        )
-    else:
-        exp_alpha = math.exp(-alpha / params.lambda_e)
-        j_vals = {j: j_plus(j, params) for j in range(1, m_users + 1)}
-        i_vals = {j: i_plus(j, params) for j in range(1, m_users + 1)}
-        total = sum(
-            signed_binom(m_users, m)
-            * xi**m
-            * (i_vals[m] + _i_minus_from(m, j_vals, i_vals, exp_alpha))
-            for m in range(1, m_users + 1)
-        )
-    raw = 1.0 - total
+    orders = range(1, m_users + 1)
+    j_vals = [j_plus(m, params) for m in orders]
+    t_vals = [i_plus(m, params) for m in orders] if alpha > 0 else j_vals
+    tail_mass = max(alpha, 0.0) / params.lambda_e
+    head = xi_c**m_users * -math.expm1(-tail_mass) + sum(
+        math.comb(m_users, m) * xi_c ** (m_users - m) * xi**m * (j - t)
+        for m, j, t in zip(orders, j_vals, t_vals)
+    )
+    tail = sum(signed_binom(m_users, m) * xi**m * t for m, t in zip(orders, t_vals))
+    raw = head + (math.exp(-tail_mass) - tail)
     value = min(1.0, max(0.0, raw))
     return SopResult(value=value, clamp_amount=abs(value - raw))

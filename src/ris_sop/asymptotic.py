@@ -96,7 +96,8 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
     i_vals = {m: i_plus(m, params, offset=0.0) for m in range(1, m_users + 1)}
     p3 = sum(signed_binom(m_users, m) * i_vals[m] for m in range(1, m_users + 1))
     p2 = i_vals[m_users] - j_plus(m_users, params, offset=0.0)
-    sop_simplified = math.exp(-c) - p3
+    # Rounding can leave an underflowed level a few subnormals below 0.
+    sop_simplified = max(math.exp(-c) - p3, 0.0)
     return AsymptoticBreakdown(
         p1=p1,
         p2=p2,

@@ -359,11 +359,7 @@ def _run_oracle(spec: SweepSpec, out=None) -> int:
             failures += 1
             print(f"{where}: {type(exc).__name__}: {exc} -> FAIL", file=out)
             continue
-        # The absolute floor is the float64 rounding of the closed form's
-        # 1 - total, an alternating sum whose binomial weights add up to
-        # about 2^M.
-        floor = max(1e-15, 2.0**cfg.n_users * sys.float_info.epsilon)
-        tier_a = abs(closed - approx) <= 1e-6 * abs(approx) + floor
+        tier_a = abs(closed - approx) <= 1e-6 * abs(approx) + 1e-15
         tier_b = True
         if exact >= 1e-5:
             tier_b = abs(approx - exact) / exact <= 0.05

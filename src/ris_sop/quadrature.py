@@ -202,8 +202,7 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
 
 def _sop_quad(cfg: SystemConfig, q, offset: float | None) -> QuadResult:
     # SOP = int (1 - xi Q(z(x)))^M exppdf(x) dx with the scheduled user's
-    # outage threshold rho * x + offset; z changes sign at the branch point,
-    # which becomes a panel boundary when it lies inside the range.
+    # outage threshold rho * x + offset; z changes sign at the branch point.
     p = derive_clt_params(cfg)
     m_users = cfg.n_users
     sigma = p.sigma_d
@@ -221,11 +220,14 @@ def _sop_quad(cfg: SystemConfig, q, offset: float | None) -> QuadResult:
         cdf = (xi_c + p.xi * q(-z)) ** m_users
         return cdf * (np.exp(-x / p.lambda_e) / p.lambda_e)
 
+    # At large N the CDF's climb over -8 < z < 8 is a few percent of alpha
+    # wide and can fall between the first panels' nodes; z = 0 is alpha.
+    amplitudes = [p.mu_d + z * sigma for z in (0, -1, 1, -2, 2, -4, 4, -8, 8)]
     spec = QuadratureSpec(
         integrand=integrand,
         rel_tol=SOP_REL_TOL,
         max_subdivisions=SOP_MAX_SUBDIVISIONS,
-        breakpoints=(p.branch_point(offset),),
+        breakpoints=tuple((a**2 * p.gamma0 - shift) / p.rho for a in amplitudes if a > 0),
     )
     return integrate_semi_infinite(spec, p.lambda_e)
 

@@ -112,7 +112,14 @@ def path_loss_linear(d: float, z0: float, upsilon: float) -> float:
     """
     if d <= 0:
         raise DomainError(f"distance must be positive, got {d}")
-    return 10.0 ** ((z0 - 10.0 * upsilon * math.log10(d)) / 10.0)
+    return _db_to_linear(z0 - 10.0 * upsilon * math.log10(d))
+
+
+def _db_to_linear(db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:  # inf, as a product past the float64 range gives
+        return math.inf
 
 
 def rho_of(r_th: float) -> float:
@@ -126,19 +133,26 @@ def derive_clt_params(cfg: SystemConfig) -> CltParams:
     The amplitude mean scales like N and the variance like N, so the ratio
     mu_d / sigma_d grows like sqrt(N) and ``xi`` converges to 1 quickly.
     ``xi`` is computed through the log-domain tail routine to avoid the
-    1/(1 - tiny) cancellation at large N.
+    1/(1 - tiny) cancellation at large N.  A value that overflows or
+    underflows to 0 raises DomainError naming its field or statistic.
     """
     zeta_sr = path_loss_linear(cfg.d_sr, cfg.z0, cfg.upsilon)
     zeta_rd = path_loss_linear(cfg.d_rd, cfg.z0, cfg.upsilon)
     zeta_re = path_loss_linear(cfg.d_re, cfg.z0, cfg.upsilon)
-    gamma0 = 10.0 ** (cfg.gamma0_db / 10.0)
+    gamma0 = _db_to_linear(cfg.gamma0_db)
     pair_gain = zeta_rd * zeta_sr  # second moment of one amplitude product
     # Keep N as the final factor so doubling N scales both exactly.
     mu_d = (math.pi / 4.0) * math.sqrt(pair_gain) * cfg.n_elements
     sigma2_d = ((16.0 - math.pi**2) / 16.0) * pair_gain * cfg.n_elements
+    lambda_e = (zeta_re * zeta_sr * gamma0) * cfg.n_elements
+    for name, value in dict(
+        d_sr=zeta_sr, d_rd=zeta_rd, d_re=zeta_re, gamma0_db=gamma0,
+        mu_d=mu_d, sigma2_d=sigma2_d, lambda_e=lambda_e,
+    ).items():  # a finite config can still give a value past the float64 range
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name}: linear value {value} leaves the float64 range")
     z = mu_d / math.sqrt(sigma2_d)
     xi = math.exp(-log_q(-z))  # 1 / Q(-z) without forming 1 - Q(z)
-    lambda_e = (zeta_re * zeta_sr * gamma0) * cfg.n_elements
     return CltParams(
         mu_d=mu_d,
         sigma2_d=sigma2_d,

@@ -261,15 +261,17 @@ class TestMain:
         assert summary == "oracle: FAIL (1 points)"
 
     def test_oracle_tier_a_allows_the_closed_form_rounding(self, tmp_path, capsys):
-        # SOP ~1e-9 at M=8: the closed form's 1 - total rounds at ~2^8 eps,
-        # which is more than 1e-6 of the value.
+        # Small SOPs: ~1e-9 at N=256, M=8, and 2.6e-10 at N=256, M=16, 50 dB,
+        # the worst design-grid point.  A closed form assembled as 1 - total
+        # carries ~2^M eps absolute there, up to 1.4e-2 of the value; split
+        # at the branch point it meets 1e-6 relative plus 1e-15.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "base": {"n_elements": 256, "n_users": 8},
-            "sweep": {"gamma0_db": [-5.0, 0.0]},
+            "base": {"n_elements": 256},
+            "sweep": {"gamma0_db": [-5.0, 0.0, 50.0], "n_users": [8, 16]},
         }))
         assert main(["oracle", "--config", str(path)]) == 0
-        assert capsys.readouterr().out.count("PASS") == 3
+        assert capsys.readouterr().out.count("PASS") == 7
 
     def test_oracle_tier_a_catches_a_relative_error(
         self, tmp_path, capsys, monkeypatch
@@ -285,6 +287,28 @@ class TestMain:
         path.write_text(json.dumps({"sweep": {"gamma0_db": [20.0]}}))
         assert main(["oracle", "--config", str(path)]) == 1
         assert capsys.readouterr().out.strip().endswith("oracle: FAIL (1 points)")
+
+    def test_oracle_reports_an_out_of_range_linear_value(self, tmp_path, capsys):
+        # d_sr = 1e-300 m is finite, but its path loss overflows float64.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": {"d_sr": [1e-300, 45.0]}}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        first, second, summary = captured.out.strip().split("\n")
+        assert first.startswith("point 0 ") and "DomainError" in first
+        assert "d_sr" in first and first.endswith("FAIL")
+        assert second.startswith("point 1 ") and second.endswith("PASS")
+        assert summary == "oracle: FAIL (1 points)"
+        assert "Traceback" not in captured.err
+
+    def test_sweep_row_error_names_the_overflowing_field(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": {"gamma0_db": 5000}}))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "row error" in err and "gamma0_db" in err
+        assert "out of range" not in err
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json",

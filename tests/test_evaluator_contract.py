@@ -1,8 +1,9 @@
 """Every analytic evaluator, anywhere in the validated configuration domain,
-returns a probability in [0, 1] or raises a package error, and every
-quadrature call converges within its subdivision budget."""
+returns a probability in [0, 1] or raises a package error, every quadrature
+call converges within its subdivision budget, and the closed form agrees with
+the fitted-Q quadrature it evaluates analytically."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ris_sop import quadrature
 from ris_sop.analytic import sop_closed_form
@@ -39,6 +40,12 @@ configs = st.builds(
 
 @settings(derandomize=True, deadline=2000, max_examples=100)
 @given(cfg=configs)
+# The term-sum saturation level rounded to -1.6e-322 here before its clip.
+@example(
+    cfg=SystemConfig(
+        n_elements=3, n_users=6, r_th=0.5, d_re=275.0, gamma0_db=0.0
+    )
+)
 def test_evaluators_return_a_probability_or_a_package_error(cfg):
     subdivisions = []  # one entry per quadrature call that converged
     original = integrate_semi_infinite
@@ -50,13 +57,27 @@ def test_evaluators_return_a_probability_or_a_package_error(cfg):
 
     quadrature.integrate_semi_infinite = counted
     try:
+        returned = {}
         for name, evaluate in EVALUATORS.items():
             try:
                 values = evaluate(cfg)
             except PACKAGE_ERRORS:
                 continue
             assert all(0.0 <= v <= 1.0 for v in values), (name, values)
+            returned[name] = values[0]
     finally:
         quadrature.integrate_semi_infinite = original
     assert len(subdivisions) == 3, "a quadrature call raised"
     assert max(subdivisions) <= SOP_MAX_SUBDIVISIONS
+    if "closed" in returned and "quad_approx" in returned:
+        closed, approx = returned["closed"], returned["quad_approx"]
+        gap = abs(closed - approx)
+        assert gap <= 1e-6 * approx + 1e-15, (closed, approx)
+        # The closed form's head cancels in its binomial sum where the fitted
+        # CDF at zero amplitude, the fit's own error, is small next to
+        # |1 - xi|.  Below N = 16 that reaches larger SOPs (1.7e-8 relative
+        # at N=1, M=16, d_re=200 m, 60 dB, SOP 2.4e-17); from N = 16 only
+        # SOPs below ~1e-50 (6.1e-3 relative at N=16, M=16, d_re=500 m,
+        # r_th=0.01, 130 dB, SOP 2.4e-114).
+        if cfg.n_elements >= 16 and approx >= 1e-40:
+            assert gap <= 1e-8 * approx, (closed, approx)

@@ -207,6 +207,34 @@ def _mp_sop(cfg: SystemConfig, q) -> float:
         return float(mpmath.quad(f, sorted(cuts) + [mpmath.inf]))
 
 
+class TestTransitionLayer:
+    # Large N with a close eavesdropper: the CDF climbs from ~0 to ~1 over a
+    # layer just past alpha about 7% of alpha wide.  With only alpha as a
+    # breakpoint no Kronrod node landed in it, and both routes converged on
+    # values 1.7e-3 (first case) and 8.5e-4 (second) off, with a ~1e-11
+    # error estimate.
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(
+                n_elements=26343, n_users=8, d_re=3.470315220467713,
+                gamma0_db=-1.4249368341234288, r_th=4.042837759719358,
+            ),
+            SystemConfig(
+                n_elements=30718, n_users=15, d_re=1.84, gamma0_db=66.37, r_th=2.27
+            ),
+        ],
+        ids=["N26343-M8", "N30718-M15"],
+    )
+    @pytest.mark.parametrize(
+        "route,mp_q",
+        [(sop_quad_exact_q, _mp_q_exact), (sop_quad_approx_q, _mp_q_approx)],
+        ids=["exact_q", "approx_q"],
+    )
+    def test_matches_mpmath(self, cfg, route, mp_q):
+        assert route(cfg).value == pytest.approx(_mp_sop(cfg, mp_q), rel=1e-9, abs=0.0)
+
+
 class TestDeepTail:
     # N=256, M=1, eavesdropper at 38 m: SOP ~1.9e-9 at -10 dB and ~1e-15 at
     # 0 dB, where the CDF 1 - xi Q(z) sits at z ~ -6 over most of the range.
