@@ -17,7 +17,8 @@ from ris_sop.quadrature import sop_quad_exact_q
 
 HERE = pathlib.Path(__file__).resolve().parent
 
-gammas = np.arange(-10.0, 55.1, 2.5)
+# Plain floats: numpy scalars would reach the CSV as "np.float64(...)".
+gammas = [float(g) for g in np.arange(-10.0, 55.1, 2.5)]
 curves = {}
 floors = {}
 for n in (64, 128):

@@ -10,16 +10,16 @@ evaluation overflows long before the interesting operating points.
 The outer integral splits where the Q-function argument changes sign, so
 that a small SOP is never ``1 - total`` with ``total`` near 1.
 
-The terms and order sums take the threshold offset ``rho - 1`` as a
-parameter.  With it set to 0 they are the high-SNR terms of
-:mod:`ris_sop.asymptotic`, exactly as the paper derives them.
+The terms and order sums read the outage threshold's offset from
+``CltParams.offset``, ``rho - 1`` as derived.  At offset 0 they are the
+high-SNR terms of :mod:`ris_sop.asymptotic`, exactly as the paper derives
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import CapacityError, ContractError, EvaluationError
 from .specfun import MultinomialTerm, exp_times_q, multinomial_set, signed_binom
@@ -40,105 +40,73 @@ class SopResult:
     clamp_amount: float
 
 
-class TermContext(NamedTuple):
-    """Per-term constants shared by the closed-form integrals.
-
-    ``sigma_mk`` is the composition-scaled amplitude deviation
-    sigma_d / sqrt(sum_i k_i p_i); ``upsilon_mk`` the combined quadratic
-    coefficient 1/(2 sigma_mk^2) + gamma0 / (rho * lambda_e); ``offset`` the
-    additive outage-threshold term (rho - 1, or 0 on the high-SNR route);
-    ``alpha`` the branch split point of the outer integral at that offset
-    (negative on the low-SNR branch).
-    """
-
-    m: int
-    k: MultinomialTerm
-    sigma_mk: float
-    upsilon_mk: float
-    offset: float
-    alpha: float
-
-
-def term_context(
-    k: MultinomialTerm, params: CltParams, offset: float | None = None
-) -> TermContext:
-    sigma_mk = math.sqrt(params.sigma2_d / k.p_dot_k)
-    upsilon_mk = 1.0 / (2.0 * sigma_mk**2) + params.gamma0 / (
-        params.rho * params.lambda_e
-    )
-    return TermContext(
-        m=k.m,
-        k=k,
-        sigma_mk=sigma_mk,
-        upsilon_mk=upsilon_mk,
-        offset=params.threshold_offset(offset),
-        alpha=params.branch_point(offset),
-    )
-
-
-def _require_finite(value: float, label: str, ctx: TermContext) -> float:
+def _require_finite(value: float, label: str, k: MultinomialTerm) -> float:
     if not math.isfinite(value):
-        raise EvaluationError(
-            f"{label} lost finiteness for m={ctx.m}, k={ctx.k.k}: got {value}"
-        )
+        raise EvaluationError(f"{label} lost finiteness for k={k.k}: got {value}")
     return value
 
 
-def j_plus_term(ctx: TermContext, params: CltParams) -> float:
+def _term_constants(k: MultinomialTerm, params: CltParams):
+    """Constants both term integrals share at composition ``k``.
+
+    ``s2`` is the composition-scaled amplitude variance sigma_d^2 / (sum_i
+    k_i p_i), ``ups`` the combined quadratic coefficient 1/(2 s2) + gamma0 /
+    (rho lambda_e), then the prefactor, the exponent ``a`` that
+    :func:`exp_times_q` takes and the coefficient of that product.
+    """
+    mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
+    # Squared from its root, not divided alone: sweeps reproduce bit for bit.
+    s2 = math.sqrt(params.sigma2_d / k.p_dot_k) ** 2
+    ups = 1.0 / (2.0 * s2) + g0 / (rho * lam)
+    pref = g0 / (2.0 * rho * lam * ups)
+    a = params.offset / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
+    coeff = mu * _SQRT_PI / (s2 * math.sqrt(ups))
+    return s2, ups, pref, a, coeff
+
+
+def j_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     """Single multinomial term of the full-range outage integral.
 
     Equals (1/2) * integral over x in [0, inf) of
     exp(-chi_k(x)^2 / 2) * exppdf(x), where chi_k is the composition-scaled
-    Q argument at threshold ``rho * x + ctx.offset``; the quadrature oracle
-    checks exactly this.
+    Q argument at threshold ``rho * x + params.offset``; the quadrature
+    oracle checks exactly this.
     """
-    mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
-    s2 = ctx.sigma_mk**2
-    ups = ctx.upsilon_mk
-    pref = g0 / (2.0 * rho * lam * ups)
-    u0 = math.sqrt(ctx.offset / g0)
+    mu, g0 = params.mu_d, params.gamma0
+    s2, ups, pref, a, coeff = _term_constants(k, params)
+    u0 = math.sqrt(params.offset / g0)
     t1 = math.exp(-((u0 - mu) ** 2) / (2.0 * s2))
-    beta = mu / (2.0 * s2 * ups)
-    a = ctx.offset / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
-    b = math.sqrt(2.0 * ups) * (u0 - beta)
-    t2 = (mu * _SQRT_PI / (s2 * math.sqrt(ups))) * exp_times_q(a, b)
-    return _require_finite(pref * (t1 + t2), "j_plus_term", ctx)
+    b = math.sqrt(2.0 * ups) * (u0 - mu / (2.0 * s2 * ups))
+    return _require_finite(pref * (t1 + coeff * exp_times_q(a, b)), "j_plus_term", k)
 
 
-def i_plus_term(ctx: TermContext, params: CltParams) -> float:
+def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     """Single multinomial term of the tail integral over x in [alpha, inf).
 
     Only meaningful on the branch with alpha > 0; at alpha -> 0 the value
     meets j_plus_term because the integration domains coincide.
     """
-    if ctx.alpha <= 0:
-        raise ContractError(
-            f"i_plus_term requires alpha > 0, got alpha={ctx.alpha}"
-        )
+    alpha = params.branch_point()
+    if alpha <= 0:
+        raise ContractError(f"i_plus_term requires alpha > 0, got alpha={alpha}")
     mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
-    s2 = ctx.sigma_mk**2
-    ups = ctx.upsilon_mk
-    pref = g0 / (2.0 * rho * lam * ups)
-    t1 = math.exp(-(mu**2 * g0 - ctx.offset) / (rho * lam))
-    a = ctx.offset / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
+    _, ups, pref, a, coeff = _term_constants(k, params)
+    t1 = math.exp(-(mu**2 * g0 - params.offset) / (rho * lam))
     b = math.sqrt(2.0) * mu * g0 / (rho * lam * math.sqrt(ups))
-    t2 = (mu * _SQRT_PI / (s2 * math.sqrt(ups))) * exp_times_q(a, b)
-    return _require_finite(pref * (t1 + t2), "i_plus_term", ctx)
+    return _require_finite(pref * (t1 + coeff * exp_times_q(a, b)), "i_plus_term", k)
 
 
-def j_plus(m: int, params: CltParams, offset: float | None = None) -> float:
+def j_plus(m: int, params: CltParams) -> float:
     """Order-m full-range outage integral, via the multinomial expansion."""
     return sum(
-        k.coef * k.weight_product * j_plus_term(term_context(k, params, offset), params)
-        for k in multinomial_set(m)
+        k.coef * k.weight_product * j_plus_term(k, params) for k in multinomial_set(m)
     )
 
 
-def i_plus(m: int, params: CltParams, offset: float | None = None) -> float:
+def i_plus(m: int, params: CltParams) -> float:
     """Order-m tail integral over [alpha, inf); subset of j_plus by domain."""
     return sum(
-        k.coef * k.weight_product * i_plus_term(term_context(k, params, offset), params)
-        for k in multinomial_set(m)
+        k.coef * k.weight_product * i_plus_term(k, params) for k in multinomial_set(m)
     )
 
 

@@ -9,7 +9,7 @@ transmit SNR (or the source-side distance) leaves the result bit-identical,
 not merely close.
 
 Two routes are provided: a term-sum that is the closed form's order sums
-with the threshold offset rho - 1 set to 0, and a fully reduced expression
+at ``CltParams.offset`` 0 instead of rho - 1, and a fully reduced expression
 in the basic system parameters only.  The difference between them is one
 extra layer of the three-exponential Q substitution.
 """
@@ -17,19 +17,13 @@ extra layer of the three-exponential Q substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .analytic import (
-    TermContext,
-    i_plus,
-    i_plus_term,
-    j_plus,
-    j_plus_term,
-    term_context,
-)
-from .specfun import Q_APPROX, multinomial_set, signed_binom
+from .analytic import i_plus, i_plus_term, j_plus, j_plus_term
+from .errors import DomainError
+from .specfun import Q_APPROX, MultinomialTerm, multinomial_set, signed_binom
 from .specfun import exp_times_q  # noqa: F401 - bench/tracing.py wraps this name
-from .sysmodel import CltParams, SystemConfig, derive_clt_params
+from .sysmodel import CltParams, SystemConfig, derive_clt_params, rho_of
 
 _Q16 = (16.0 - math.pi**2) / 16.0
 
@@ -53,20 +47,29 @@ class AsymptoticBreakdown:
     warnings: tuple[str, ...] = ()
 
 
-def i_plus_term_asym(ctx: TermContext, params: CltParams) -> float:
+def i_plus_term_asym(k: MultinomialTerm, params: CltParams) -> float:
     """High-SNR tail-integral term: :func:`i_plus_term` at offset 0."""
-    return i_plus_term(term_context(ctx.k, params, offset=0.0), params)
+    return i_plus_term(k, replace(params, offset=0.0))
 
 
-def j_plus_term_asym(ctx: TermContext, params: CltParams) -> float:
+def j_plus_term_asym(k: MultinomialTerm, params: CltParams) -> float:
     """High-SNR full-range term: :func:`j_plus_term` at offset 0."""
-    return j_plus_term(term_context(ctx.k, params, offset=0.0), params)
+    return j_plus_term(k, replace(params, offset=0.0))
 
 
 def _gain_ratio(cfg: SystemConfig) -> float:
     # zeta_rd / zeta_re reduces to a pure distance ratio; the reference path
     # loss cancels, which is what makes the invariances below exact.
-    return (cfg.d_re / cfg.d_rd) ** cfg.upsilon
+    try:
+        ratio = (cfg.d_re / cfg.d_rd) ** cfg.upsilon
+    except OverflowError:
+        ratio = math.inf  # the quotient itself can overflow to inf instead
+    if ratio == math.inf:
+        raise DomainError(
+            f"d_re, d_rd: gain ratio (d_re / d_rd)^upsilon leaves the float64 "
+            f"range at d_re={cfg.d_re}, d_rd={cfg.d_rd}"
+        )
+    return ratio
 
 
 def _validity_warnings(cfg: SystemConfig) -> tuple[str, ...]:
@@ -89,13 +92,13 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
     c = N pi^2 (zeta_rd/zeta_re) / (16 rho); the dropped remainder p2 is
     computed anyway so its size relative to p3 can be checked.
     """
-    params = derive_clt_params(cfg)
+    params = replace(derive_clt_params(cfg), offset=0.0)
     m_users = cfg.n_users
     c = cfg.n_elements * math.pi**2 * _gain_ratio(cfg) / (16.0 * params.rho)
     p1 = -math.expm1(-c)
-    i_vals = {m: i_plus(m, params, offset=0.0) for m in range(1, m_users + 1)}
+    i_vals = {m: i_plus(m, params) for m in range(1, m_users + 1)}
     p3 = sum(signed_binom(m_users, m) * i_vals[m] for m in range(1, m_users + 1))
-    p2 = i_vals[m_users] - j_plus(m_users, params, offset=0.0)
+    p2 = i_vals[m_users] - j_plus(m_users, params)
     # Rounding can leave an underflowed level a few subnormals below 0.
     sop_simplified = max(math.exp(-c) - p3, 0.0)
     return AsymptoticBreakdown(
@@ -115,7 +118,7 @@ def sop_asymptotic_closed(cfg: SystemConfig) -> float:
     and the absolute node distances by construction.
     """
     return _closed_from_ratio(
-        cfg.n_elements, cfg.n_users, 2.0**cfg.r_th, _gain_ratio(cfg)
+        cfg.n_elements, cfg.n_users, rho_of(cfg.r_th), _gain_ratio(cfg)
     )
 
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .specfun import q_approx3, q_exact
-from .sysmodel import SystemConfig, derive_clt_params
+from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
 #: Initial truncation point of the substituted variable u = x / lambda; the
 #: weight exp(-u) carries < 1e-15 of its mass beyond here.  The driver moves
@@ -200,17 +200,14 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
     return QuadResult(total, total_err + tail, splits)
 
 
-def _sop_quad(cfg: SystemConfig, q, offset: float | None) -> QuadResult:
+def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
     # SOP = int (1 - xi Q(z(x)))^M exppdf(x) dx with the scheduled user's
     # outage threshold rho * x + offset; z changes sign at the branch point.
-    p = derive_clt_params(cfg)
-    m_users = cfg.n_users
     sigma = p.sigma_d
-    shift = p.threshold_offset(offset)
     xi_c = p.xi_complement()
 
     def integrand(x):
-        y = p.rho * x + shift
+        y = p.rho * x + p.offset
         z = (np.sqrt(y / p.gamma0) - p.mu_d) / sigma
         # The CDF 1 - xi Q(z) as (1 - xi) + xi Q(-z), which keeps its
         # relative accuracy where it is tiny (z far below 0) instead of
@@ -227,7 +224,9 @@ def _sop_quad(cfg: SystemConfig, q, offset: float | None) -> QuadResult:
         integrand=integrand,
         rel_tol=SOP_REL_TOL,
         max_subdivisions=SOP_MAX_SUBDIVISIONS,
-        breakpoints=tuple((a**2 * p.gamma0 - shift) / p.rho for a in amplitudes if a > 0),
+        breakpoints=tuple(
+            (a**2 * p.gamma0 - p.offset) / p.rho for a in amplitudes if a > 0
+        ),
     )
     return integrate_semi_infinite(spec, p.lambda_e)
 
@@ -237,7 +236,7 @@ def sop_quad_exact_q(cfg: SystemConfig) -> QuadResult:
 
     This is the model-level ground truth every other route is compared to.
     """
-    return _sop_quad(cfg, q_exact, None)
+    return _sop_quad(derive_clt_params(cfg), cfg.n_users, q_exact)
 
 
 def sop_quad_approx_q(cfg: SystemConfig) -> QuadResult:
@@ -247,14 +246,15 @@ def sop_quad_approx_q(cfg: SystemConfig) -> QuadResult:
     analytically, so agreement with :func:`ris_sop.analytic.sop_closed_form`
     certifies the term algebra with no approximation gap in between.
     """
-    return _sop_quad(cfg, q_approx3, None)
+    return _sop_quad(derive_clt_params(cfg), cfg.n_users, q_approx3)
 
 
 def sop_quad_asymptotic(cfg: SystemConfig) -> QuadResult:
     """SOP under the high-SNR simplification of the outage threshold.
 
-    Same integrand as :func:`sop_quad_exact_q` but with the additive
-    (rho - 1) term set to 0, i.e. thresholds ``rho * x`` instead of
-    ``rho * x + rho - 1``.  Valid only where SNRs dwarf unity.
+    Same integrand as :func:`sop_quad_exact_q` but at ``CltParams.offset``
+    0, i.e. thresholds ``rho * x`` instead of ``rho * x + rho - 1``.  Valid
+    only where SNRs dwarf unity.
     """
-    return _sop_quad(cfg, q_exact, 0.0)
+    params = replace(derive_clt_params(cfg), offset=0.0)
+    return _sop_quad(params, cfg.n_users, q_exact)

@@ -124,10 +124,6 @@ class MultinomialTerm:
     weight_product: float
     p_dot_k: float
 
-    @property
-    def m(self) -> int:
-        return self.k[0] + self.k[1] + self.k[2]
-
 
 def multinomial_set(m: int) -> list[MultinomialTerm]:
     """All integer triples (k1, k2, k3) with k1+k2+k3 = m, exactly once.

@@ -11,6 +11,7 @@ configuration boundary and nowhere else.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -40,6 +41,10 @@ class SystemConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+        for name in ("n_elements", "n_users"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_elements < 1:
             raise DomainError(f"n_elements must be >= 1, got {self.n_elements}")
         if self.n_users < 1:
@@ -61,7 +66,9 @@ class CltParams:
     destination channel amplitude under the Gaussian (large-N) model,
     ``xi`` the normalization constant that makes the implied truncated
     amplitude distribution integrate to one, and ``lambda_e`` the mean of the
-    exponentially distributed eavesdropper SNR.
+    exponentially distributed eavesdropper SNR.  ``offset`` is the additive
+    term of the outage threshold ``rho * x + offset``: rho - 1 at finite SNR,
+    0 on the high-SNR routes, which is how the paper obtains them.
     """
 
     mu_d: float
@@ -73,26 +80,19 @@ class CltParams:
     zeta_sr: float
     zeta_rd: float
     zeta_re: float
+    offset: float
 
     @property
     def sigma_d(self) -> float:
         return math.sqrt(self.sigma2_d)
 
-    def threshold_offset(self, offset: float | None = None) -> float:
-        """Additive term of the outage threshold ``rho * x + offset``.
-
-        None selects the finite-SNR value rho - 1; the high-SNR routes pass
-        0, which is how the paper obtains them from the finite-SNR ones.
-        """
-        return self.rho - 1.0 if offset is None else offset
-
-    def branch_point(self, offset: float | None = None) -> float:
+    def branch_point(self) -> float:
         """alpha = (mu_d^2 gamma0 - offset) / rho.
 
         The eavesdropper SNR at which the scheduled user's Q argument changes
         sign; the outage integrals split here when it is positive.
         """
-        return (self.mu_d**2 * self.gamma0 - self.threshold_offset(offset)) / self.rho
+        return (self.mu_d**2 * self.gamma0 - self.offset) / self.rho
 
     def xi_complement(self) -> float:
         """1 - xi, without the cancellation of forming it from ``xi``.
@@ -123,8 +123,13 @@ def _db_to_linear(db: float) -> float:
 
 
 def rho_of(r_th: float) -> float:
-    """Linear secrecy threshold 2^r_th."""
-    return 2.0**r_th
+    """Linear secrecy threshold 2^r_th; DomainError past the float64 range."""
+    try:
+        return 2.0**r_th
+    except OverflowError:
+        raise DomainError(
+            f"r_th: linear value 2^{r_th} leaves the float64 range"
+        ) from None
 
 
 def derive_clt_params(cfg: SystemConfig) -> CltParams:
@@ -153,14 +158,16 @@ def derive_clt_params(cfg: SystemConfig) -> CltParams:
             raise DomainError(f"{name}: linear value {value} leaves the float64 range")
     z = mu_d / math.sqrt(sigma2_d)
     xi = math.exp(-log_q(-z))  # 1 / Q(-z) without forming 1 - Q(z)
+    rho = rho_of(cfg.r_th)
     return CltParams(
         mu_d=mu_d,
         sigma2_d=sigma2_d,
         xi=xi,
         lambda_e=lambda_e,
         gamma0=gamma0,
-        rho=rho_of(cfg.r_th),
+        rho=rho,
         zeta_sr=zeta_sr,
         zeta_rd=zeta_rd,
         zeta_re=zeta_re,
+        offset=rho - 1.0,
     )

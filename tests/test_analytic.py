@@ -10,7 +10,6 @@ from ris_sop.analytic import (
     j_plus,
     j_plus_term,
     sop_closed_form,
-    term_context,
 )
 from ris_sop.errors import CapacityError, ContractError
 from ris_sop.quadrature import (
@@ -35,9 +34,13 @@ def _params(gamma0_db, n=64, m=3, **kw):
     )
 
 
-def _term(m, k_tuple, params):
+def _term(m, k_tuple):
     (k,) = [t for t in multinomial_set(m) if t.k == k_tuple]
-    return k, term_context(k, params)
+    return k
+
+
+def _sigma_mk(k, params):
+    return math.sqrt(params.sigma2_d / k.p_dot_k)
 
 
 def _chi(x, params, sigma):
@@ -75,51 +78,53 @@ class TestJPlusTerm:
     def test_matches_defining_integral(self, gamma0_db, k_spec):
         m, kt = k_spec
         params = _params(gamma0_db)
-        _, ctx = _term(m, kt, params)
+        k = _term(m, kt)
+        alpha = params.branch_point()
         oracle = integrate_semi_infinite(
             QuadratureSpec(
-                integrand=_term_integrand(params, ctx.sigma_mk),
-                breakpoints=(ctx.alpha,) if ctx.alpha > 0 else (),
+                integrand=_term_integrand(params, _sigma_mk(k, params)),
+                breakpoints=(alpha,) if alpha > 0 else (),
             ),
             params.lambda_e,
         )
-        assert j_plus_term(ctx, params) == pytest.approx(oracle.value, rel=1e-8)
+        assert j_plus_term(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
     def test_frozen_regression(self):
         params = _params(10.0)
-        _, ctx = _term(1, (1, 0, 0), params)
-        assert j_plus_term(ctx, params) == pytest.approx(J_TERM_FROZEN, rel=1e-8)
+        k = _term(1, (1, 0, 0))
+        assert j_plus_term(k, params) == pytest.approx(J_TERM_FROZEN, rel=1e-8)
 
     def test_vanishes_at_huge_threshold(self):
         params = _params(10.0, r_th=40.0)
-        _, ctx = _term(1, (1, 0, 0), params)
-        assert j_plus_term(ctx, params) < 1e-12
+        k = _term(1, (1, 0, 0))
+        assert j_plus_term(k, params) < 1e-12
 
 
 class TestIPlusTerm:
     @pytest.mark.parametrize("gamma0_db", [10.0, 20.0, 35.0])
     def test_matches_defining_integral(self, gamma0_db):
         params = _params(gamma0_db)
-        _, ctx = _term(2, (1, 1, 0), params)
+        k = _term(2, (1, 1, 0))
         oracle = integrate_semi_infinite(
             QuadratureSpec(
-                integrand=_term_integrand(params, ctx.sigma_mk), lower=ctx.alpha
+                integrand=_term_integrand(params, _sigma_mk(k, params)),
+                lower=params.branch_point(),
             ),
             params.lambda_e,
         )
-        assert i_plus_term(ctx, params) == pytest.approx(oracle.value, rel=1e-8)
+        assert i_plus_term(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
     def test_frozen_regression(self):
         params = _params(20.0)
-        _, ctx = _term(2, (1, 1, 0), params)
-        assert i_plus_term(ctx, params) == pytest.approx(I_TERM_FROZEN, rel=1e-8)
+        k = _term(2, (1, 1, 0))
+        assert i_plus_term(k, params) == pytest.approx(I_TERM_FROZEN, rel=1e-8)
 
     def test_requires_positive_alpha(self):
         params = _params(-10.0)  # mu^2 gamma0 < rho - 1
-        _, ctx = _term(1, (1, 0, 0), params)
-        assert ctx.alpha < 0
+        k = _term(1, (1, 0, 0))
+        assert params.branch_point() < 0
         with pytest.raises(ContractError):
-            i_plus_term(ctx, params)
+            i_plus_term(k, params)
 
     def test_meets_j_term_at_domain_coincidence(self):
         # gamma0 a hair above the branch point: alpha -> 0+, domains coincide
@@ -130,10 +135,10 @@ class TestIPlusTerm:
             gamma0_db=10 * math.log10(g_star * (1 + 1e-9)),
         )
         params = derive_clt_params(cfg)
-        _, ctx = _term(1, (1, 0, 0), params)
-        assert ctx.alpha > 0
-        assert i_plus_term(ctx, params) == pytest.approx(
-            j_plus_term(ctx, params), rel=1e-6
+        k = _term(1, (1, 0, 0))
+        assert params.branch_point() > 0
+        assert i_plus_term(k, params) == pytest.approx(
+            j_plus_term(k, params), rel=1e-6
         )
 
 

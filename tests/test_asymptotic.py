@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ris_sop.analytic import i_plus_term, sop_closed_form, term_context
+from ris_sop.analytic import i_plus_term, sop_closed_form
 from ris_sop.asymptotic import (
     i_plus_term_asym,
     j_plus_term_asym,
     sop_asymptotic,
     sop_asymptotic_closed,
 )
+from ris_sop.errors import DomainError
 from ris_sop.quadrature import QuadratureSpec, integrate_semi_infinite
 from ris_sop.specfun import multinomial_set
 from ris_sop.sysmodel import CltParams, SystemConfig, derive_clt_params
@@ -19,32 +20,33 @@ def _cfgv(gamma0_db=60.0, n=64, m=3, **kw):
     return SystemConfig(n_elements=n, n_users=m, gamma0_db=gamma0_db, **kw)
 
 
-def _term(m, kt, params):
+def _term(m, kt):
     (k,) = [t for t in multinomial_set(m) if t.k == kt]
-    return term_context(k, params)
+    return k
 
 
 class TestAsymptoticTerms:
     @pytest.mark.parametrize("kt,m", [((1, 0, 0), 1), ((1, 1, 0), 2), ((0, 2, 1), 3)])
     def test_matches_high_snr_integral(self, kt, m):
         params = derive_clt_params(_cfgv(40.0))
-        ctx = _term(m, kt, params)
+        k = _term(m, kt)
         lower = params.mu_d**2 * params.gamma0 / params.rho
+        sigma_mk = math.sqrt(params.sigma2_d / k.p_dot_k)
 
         def integrand(x):
-            chi = (np.sqrt(params.rho * x / params.gamma0) - params.mu_d) / ctx.sigma_mk
+            chi = (np.sqrt(params.rho * x / params.gamma0) - params.mu_d) / sigma_mk
             return 0.5 * np.exp(-0.5 * chi**2) * np.exp(-x / params.lambda_e) / params.lambda_e
 
         oracle = integrate_semi_infinite(
             QuadratureSpec(integrand=integrand, lower=lower), params.lambda_e
         )
-        assert i_plus_term_asym(ctx, params) == pytest.approx(oracle.value, rel=1e-8)
+        assert i_plus_term_asym(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
     def test_agrees_with_finite_snr_term_when_saturated(self):
         params = derive_clt_params(_cfgv(60.0))
-        ctx = _term(1, (1, 0, 0), params)
-        full = i_plus_term(ctx, params)
-        asym = i_plus_term_asym(ctx, params)
+        k = _term(1, (1, 0, 0))
+        full = i_plus_term(k, params)
+        asym = i_plus_term_asym(k, params)
         assert abs(asym - full) / full <= 0.01
 
     def test_vanishes_with_power_at_fixed_eavesdropper(self):
@@ -62,16 +64,17 @@ class TestAsymptoticTerms:
                 zeta_sr=base.zeta_sr,
                 zeta_rd=base.zeta_rd,
                 zeta_re=base.zeta_re,
+                offset=base.offset,
             )
-            ctx = _term(1, (1, 0, 0), params)
-            vals.append(i_plus_term_asym(ctx, params))
+            k = _term(1, (1, 0, 0))
+            vals.append(i_plus_term_asym(k, params))
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-40
 
     def test_j_variant_dominates_i_variant(self):
         params = derive_clt_params(_cfgv(60.0))
-        ctx = _term(2, (1, 1, 0), params)
-        assert j_plus_term_asym(ctx, params) >= i_plus_term_asym(ctx, params)
+        k = _term(2, (1, 1, 0))
+        assert j_plus_term_asym(k, params) >= i_plus_term_asym(k, params)
 
 
 class TestSopAsymptotic:
@@ -166,3 +169,15 @@ class TestSopAsymptoticClosed:
         assert len(above) >= 10
         assert all(b < a for a, b in zip(above, above[1:]))
         assert all(v <= 1e-12 for v in big[len(above):])
+
+    @pytest.mark.parametrize(
+        "kw,field",
+        [
+            ({"r_th": 2000.0}, "r_th"),
+            ({"d_re": 1e300}, "d_re"),
+            ({"d_rd": 1e-300}, "d_rd"),
+        ],
+    )
+    def test_out_of_range_inputs_raise_domain_error(self, kw, field):
+        with pytest.raises(DomainError, match=field):
+            sop_asymptotic_closed(_cfgv(**kw))

@@ -310,6 +310,18 @@ class TestMain:
         assert "row error" in err and "gamma0_db" in err
         assert "out of range" not in err
 
+    def test_oracle_reports_an_out_of_range_threshold(self, tmp_path, capsys):
+        # 2^r_th overflows float64 from r_th = 1024.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": {"r_th": 2000}}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        row, summary = captured.out.strip().split("\n")
+        assert row.startswith("point 0 ") and "DomainError" in row
+        assert "r_th" in row and row.endswith("FAIL")
+        assert summary == "oracle: FAIL (1 points)"
+        assert "Traceback" not in captured.err
+
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json",
                      "--out", "/tmp/x.csv"]) == 1

@@ -188,13 +188,17 @@ def _mp_q_approx(z):
 
 
 def _mp_sop(cfg: SystemConfig, q) -> float:
-    """The SOP integral at 40 digits, with 1 - xi Q(z) formed as written."""
+    """The SOP integral at 40 digits, with 1 - xi Q(z) formed as written.
+
+    xi = 1 / Q(-mu_d / sigma_d) with the exact Q on both routes, as the
+    package derives it; only the CDF's Q(z) is ``q``.
+    """
     p = derive_clt_params(cfg)
     with mpmath.workdps(40):
         mu, sigma, lam, g0, rho = (
             mpmath.mpf(v) for v in (p.mu_d, p.sigma_d, p.lambda_e, p.gamma0, p.rho)
         )
-        xi = 1 / q(-mu / sigma)
+        xi = 1 / _mp_q_exact(-mu / sigma)
 
         def f(x):
             z = (mpmath.sqrt((rho * x + rho - 1) / g0) - mu) / sigma
@@ -278,5 +282,5 @@ class TestDeepTail:
         monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
         cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=20.0)
         with pytest.raises(AccuracyError):
-            quadrature._sop_quad(cfg, noisy_q, None)
+            quadrature._sop_quad(derive_clt_params(cfg), cfg.n_users, noisy_q)
         assert calls == [SOP_MAX_SUBDIVISIONS]

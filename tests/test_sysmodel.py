@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +51,13 @@ class TestRhoOf:
     def test_limit_from_above(self):
         rho = rho_of(1e-12)
         assert 1.0 < rho < 1.0 + 1e-11
+
+    @pytest.mark.parametrize("r_th", [1024.0, 2000.0])
+    def test_out_of_range_threshold_names_r_th(self, r_th):
+        with pytest.raises(DomainError, match="r_th"):
+            rho_of(r_th)
+        with pytest.raises(DomainError, match="r_th"):
+            derive_clt_params(SystemConfig(r_th=r_th))
 
 
 def _unit_gain_config(n, m=3, gamma0_db=0.0):
@@ -138,11 +146,20 @@ class TestSystemConfigValidation:
             {"d_re": float("inf")},
             {"gamma0_db": float("nan")},
             {"z0": float("-inf")},
+            {"n_users": 2.5},
+            {"n_users": 3.0},
+            {"n_elements": 64.0},
+            {"n_elements": "64"},
+            {"n_users": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SystemConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SystemConfig(n_elements=np.int64(64), n_users=np.int32(3))
+        assert derive_clt_params(cfg) == derive_clt_params(SystemConfig())
 
     def test_defaults_are_valid(self):
         cfg = SystemConfig()
