@@ -135,12 +135,12 @@ def _closed_from_ratio(n: int, m_users: int, rho: float, ratio: float) -> float:
             denom = rho + 2.0 * a_k * ratio
             wgt = v * k.coef * k.weight_product
             head += wgt * a_k * ratio / denom
+            # rho / denom first: 2 pi rho N p.k overflows at large finite rho.
             base = (
                 wgt
                 * (a_k * math.pi * ratio / (2.0 * denom))
-                * math.sqrt(
-                    2.0 * math.pi * rho * n * k.p_dot_k / ((16.0 - math.pi**2) * denom)
-                )
+                * math.sqrt(rho / denom)
+                * math.sqrt(2.0 * math.pi * n * k.p_dot_k / (16.0 - math.pi**2))
             )
             for wi, pi in zip(w, p):
                 tail += (

@@ -26,6 +26,7 @@ amplitude model, so neither is expected to match
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,7 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
     best = sums.max(axis=1)
     gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * best**2
     gamma_e = _eav_snr(p, g_sr, seed, block, size, independent)
-    return int(np.count_nonzero(gamma_d < p.rho * gamma_e + (p.rho - 1.0)))
+    return int(np.count_nonzero(gamma_d < p.rho * gamma_e + p.offset))
 
 
 def _noma_chunk(cfg, p, seed, block, size, independent):
@@ -168,9 +169,7 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     wu_out = int(np.count_nonzero(np.maximum(cs_wu, 0.0) < cfg.r_th))
     # Full-power outcome of the same realizations: the opportunistic scheme
     # on identical draws, for paired scheme comparisons.
-    ous_out = int(
-        np.count_nonzero(gamma_bu < p.rho * gamma_e + (p.rho - 1.0))
-    )
+    ous_out = int(np.count_nonzero(gamma_bu < p.rho * gamma_e + p.offset))
     return bu_out, wu_out, ous_out
 
 
@@ -187,6 +186,9 @@ def _chunks(trials: int):
 def _check_run(mode: str, trials: int, seed: int) -> None:
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:

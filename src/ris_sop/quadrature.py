@@ -6,17 +6,19 @@ shape ``int f(x) dx`` with ``f`` dominated by ``exp(-x / lambda) / lambda``,
 so the driver substitutes ``x = lambda * u``, truncates where the exponential
 tail mass ``exp(-u)`` drops below 1e-15 and below the relative tolerance of
 the value, and refines worst-first with a 15-point Gauss-Kronrod rule until
-the accumulated error estimate meets the relative tolerance.  Known integrand
-kinks can be declared as explicit panel boundaries, which matters for the
-branch-split integrands whose derivative jumps where the Q-function argument
-changes sign.
+the accumulated error estimate meets the relative tolerance.  Every integral,
+the SOP quadratures and any other caller's alike, runs at the one tolerance
+:data:`SOP_REL_TOL` within the one budget :data:`SOP_MAX_SUBDIVISIONS`.
+Known integrand kinks can be declared as explicit panel boundaries, which
+matters for the branch-split integrands whose derivative jumps where the
+Q-function argument changes sign.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,12 +32,12 @@ from .sysmodel import CltParams, SystemConfig, derive_clt_params
 #: it out further when the value is so small that this is not negligible.
 TAIL_CUTOFF = 35.0
 
-#: Refinement budget of the SOP quadratures.  Their integrands converge in
-#: at most a few dozen subdivisions anywhere in the configuration domain, so
-#: running out of it means a stall, which raises AccuracyError promptly.
+#: Refinement budget of every integral.  The integrands converge in at most
+#: a few dozen subdivisions anywhere in the configuration domain, so running
+#: out of it means a stall, which raises AccuracyError promptly.
 SOP_MAX_SUBDIVISIONS = 4096
 
-#: Relative tolerance of the SOP quadratures.
+#: Relative tolerance of every integral.
 SOP_REL_TOL = 1e-10
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (positive nodes).
@@ -78,30 +80,6 @@ _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_G_WEIGHTS[:-1], _G_WEIGHTS[::-1]])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """A semi-infinite (or truncated) integral to be driven to tolerance.
-
-    ``integrand`` must accept an ndarray of abscissae and return the values
-    elementwise.  ``upper`` of None means "integrate to the exponential
-    cutoff"; ``breakpoints`` lists interior abscissae that become initial
-    panel boundaries.
-    """
-
-    integrand: Callable[[np.ndarray], np.ndarray]
-    lower: float = 0.0
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 1 << 20
-    upper: float | None = None
-    breakpoints: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-4):
-            raise DomainError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
-        if self.lower < 0:
-            raise DomainError(f"lower bound must be >= 0, got {self.lower}")
-
-
 class QuadResult(NamedTuple):
     """An integral's value, its error bound and the panel splits it took."""
 
@@ -119,31 +97,43 @@ def _panel(g, a: float, b: float) -> tuple[float, float]:
     return k, abs(k - gauss)
 
 
-def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadResult:
-    """Integrate ``spec.integrand`` against its exponential-tail envelope.
+def integrate_semi_infinite(
+    integrand: Callable[[np.ndarray], np.ndarray],
+    lambda_scale: float,
+    *,
+    lower: float = 0.0,
+    upper: float | None = None,
+    breakpoints: tuple[float, ...] = (),
+) -> QuadResult:
+    """Integrate ``integrand`` from ``lower`` to ``upper``.
 
+    ``integrand`` must map an ndarray of abscissae elementwise.
     ``lambda_scale`` is the decay scale of the dominating exponential; it
     normalizes the abscissa before adaptive refinement so that panels behave
-    uniformly across transmit-SNR sweeps spanning 100+ dB.
+    uniformly across transmit-SNR sweeps spanning 100+ dB.  ``breakpoints``
+    lists interior abscissae that become initial panel boundaries.
 
-    With ``spec.upper`` None the integrand must be bounded by
-    ``exp(-x / lambda_scale) / lambda_scale``, so the mass past the cut-off
-    ``u_hi`` of the substituted variable is at most ``exp(-u_hi)``.  The
-    cut-off starts at :data:`TAIL_CUTOFF` and moves out until that bound is
-    at most half the tolerance; the stopping rule and the reported error
-    count it together with the panels' error estimates.
+    ``upper`` of None means "integrate to the exponential cut-off": the
+    integrand must then be bounded by ``exp(-x / lambda_scale) /
+    lambda_scale``, so the mass past the cut-off ``u_hi`` of the substituted
+    variable is at most ``exp(-u_hi)``.  The cut-off starts at
+    :data:`TAIL_CUTOFF` and moves out until that bound is at most half the
+    tolerance; the stopping rule and the reported error count it together
+    with the panels' error estimates.
     """
     if lambda_scale <= 0:
         raise DomainError(f"lambda_scale must be positive, got {lambda_scale}")
-    lo = spec.lower / lambda_scale
-    hi = TAIL_CUTOFF if spec.upper is None else spec.upper / lambda_scale
+    if lower < 0:
+        raise DomainError(f"lower bound must be >= 0, got {lower}")
+    lo = lower / lambda_scale
+    hi = TAIL_CUTOFF if upper is None else upper / lambda_scale
     if hi <= lo:
         return QuadResult(0.0, 0.0, 0)
 
     def g(u):
-        return spec.integrand(u * lambda_scale) * lambda_scale
+        return integrand(u * lambda_scale) * lambda_scale
 
-    cuts = [bp / lambda_scale for bp in spec.breakpoints]
+    cuts = [bp / lambda_scale for bp in breakpoints]
     heap: list[tuple[float, int, float, float, float, float]] = []
     total = 0.0
     total_err = 0.0
@@ -167,8 +157,8 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
     add_span(lo, hi)
     splits = 0
     while True:
-        tol = spec.rel_tol * max(abs(total), 1e-300)
-        tail = 0.0 if spec.upper is not None else math.exp(-hi)
+        tol = SOP_REL_TOL * max(abs(total), 1e-300)
+        tail = 0.0 if upper is not None else math.exp(-hi)
         if total_err + tail <= tol:
             break
         if tail > 0.5 * tol:
@@ -179,7 +169,7 @@ def integrate_semi_infinite(spec: QuadratureSpec, lambda_scale: float) -> QuadRe
             add_span(hi, new_hi)
             hi = new_hi
             continue
-        if splits >= spec.max_subdivisions or not heap:
+        if splits >= SOP_MAX_SUBDIVISIONS or not heap:
             raise AccuracyError(
                 f"quadrature stalled at error {total_err + tail:.3e} "
                 f"for value {total:.6e}",
@@ -220,15 +210,13 @@ def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
     # At large N the CDF's climb over -8 < z < 8 is a few percent of alpha
     # wide and can fall between the first panels' nodes; z = 0 is alpha.
     amplitudes = [p.mu_d + z * sigma for z in (0, -1, 1, -2, 2, -4, 4, -8, 8)]
-    spec = QuadratureSpec(
-        integrand=integrand,
-        rel_tol=SOP_REL_TOL,
-        max_subdivisions=SOP_MAX_SUBDIVISIONS,
+    return integrate_semi_infinite(
+        integrand,
+        p.lambda_e,
         breakpoints=tuple(
             (a**2 * p.gamma0 - p.offset) / p.rho for a in amplitudes if a > 0
         ),
     )
-    return integrate_semi_infinite(spec, p.lambda_e)
 
 
 def sop_quad_exact_q(cfg: SystemConfig) -> QuadResult:

@@ -26,7 +26,7 @@ from ris_sop.analytic import (
 from ris_sop.asymptotic import sop_asymptotic_closed
 from ris_sop.cli import emit_csv, parse_config, parse_csv, run_sweep
 from ris_sop.mcsim import estimate_schemes_paired, estimate_sop, sample_gamma_e
-from ris_sop.quadrature import QuadratureSpec, integrate_semi_infinite
+from ris_sop.quadrature import integrate_semi_infinite
 from ris_sop.specfun import Q_APPROX, multinomial_set, q_approx3, q_exact
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
 
@@ -107,20 +107,13 @@ def test_criterion_1_term_algebra_certification():
                         )
 
                     ref = integrate_semi_infinite(
-                        QuadratureSpec(
-                            integrand=term_igr, rel_tol=1e-9,
-                            breakpoints=(alpha,) if two_branch else (),
-                        ),
-                        lam,
+                        term_igr, lam, breakpoints=(alpha,) if two_branch else ()
                     ).value
                     worst = max(worst, rel(j_plus_term(k, params), ref))
                     checked += 1
                     if two_branch:
                         ref_i = integrate_semi_infinite(
-                            QuadratureSpec(
-                                integrand=term_igr, rel_tol=1e-9, lower=alpha
-                            ),
-                            lam,
+                            term_igr, lam, lower=alpha
                         ).value
                         worst = max(worst, rel(i_plus_term(k, params), ref_i))
                         checked += 1
@@ -135,26 +128,19 @@ def test_criterion_1_term_algebra_certification():
                     return body * np.exp(-x / lam) / lam
 
                 ref_j = integrate_semi_infinite(
-                    QuadratureSpec(
-                        integrand=order_igr, rel_tol=1e-9,
-                        breakpoints=(alpha,) if two_branch else (),
-                    ),
-                    lam,
+                    order_igr, lam, breakpoints=(alpha,) if two_branch else ()
                 ).value
                 worst = max(worst, rel(j_plus(m, params), ref_j))
                 checked += 1
                 if two_branch:
                     ref_ip = integrate_semi_infinite(
-                        QuadratureSpec(integrand=order_igr, rel_tol=1e-9, lower=alpha),
-                        lam,
+                        order_igr, lam, lower=alpha
                     ).value
                     worst = max(worst, rel(i_plus(m, params), ref_ip))
                     ref_im = integrate_semi_infinite(
-                        QuadratureSpec(
-                            integrand=lambda x, m=m: order_igr(x, m, mirrored=True),
-                            rel_tol=1e-9, upper=alpha,
-                        ),
+                        lambda x, m=m: order_igr(x, m, mirrored=True),
                         lam,
+                        upper=alpha,
                     ).value
                     worst = max(worst, rel(i_minus(m, params), ref_im))
                     checked += 2

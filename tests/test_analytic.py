@@ -13,7 +13,6 @@ from ris_sop.analytic import (
 )
 from ris_sop.errors import CapacityError, ContractError
 from ris_sop.quadrature import (
-    QuadratureSpec,
     integrate_semi_infinite,
     sop_quad_approx_q,
     sop_quad_exact_q,
@@ -81,11 +80,9 @@ class TestJPlusTerm:
         k = _term(m, kt)
         alpha = params.branch_point()
         oracle = integrate_semi_infinite(
-            QuadratureSpec(
-                integrand=_term_integrand(params, _sigma_mk(k, params)),
-                breakpoints=(alpha,) if alpha > 0 else (),
-            ),
+            _term_integrand(params, _sigma_mk(k, params)),
             params.lambda_e,
+            breakpoints=(alpha,) if alpha > 0 else (),
         )
         assert j_plus_term(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
@@ -106,11 +103,9 @@ class TestIPlusTerm:
         params = _params(gamma0_db)
         k = _term(2, (1, 1, 0))
         oracle = integrate_semi_infinite(
-            QuadratureSpec(
-                integrand=_term_integrand(params, _sigma_mk(k, params)),
-                lower=params.branch_point(),
-            ),
+            _term_integrand(params, _sigma_mk(k, params)),
             params.lambda_e,
+            lower=params.branch_point(),
         )
         assert i_plus_term(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
@@ -148,8 +143,7 @@ class TestOrderLevelSums:
         params = _params(10.0)
         alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1)) / params.rho
         oracle = integrate_semi_infinite(
-            QuadratureSpec(integrand=_powered_integrand(params, m), breakpoints=(alpha,)),
-            params.lambda_e,
+            _powered_integrand(params, m), params.lambda_e, breakpoints=(alpha,)
         )
         assert j_plus(m, params) == pytest.approx(oracle.value, rel=1e-8)
 
@@ -167,9 +161,7 @@ class TestOrderLevelSums:
                 / params.lambda_e
             )
 
-        oracle = integrate_semi_infinite(
-            QuadratureSpec(integrand=exact_integrand), params.lambda_e
-        )
+        oracle = integrate_semi_infinite(exact_integrand, params.lambda_e)
         assert j_plus(1, params) == pytest.approx(oracle.value, rel=0.05)
 
     def test_point_mass_limit(self):
@@ -189,8 +181,7 @@ class TestOrderLevelSums:
         params = _params(30.0)
         alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1)) / params.rho
         oracle = integrate_semi_infinite(
-            QuadratureSpec(integrand=_powered_integrand(params, m), lower=alpha),
-            params.lambda_e,
+            _powered_integrand(params, m), params.lambda_e, lower=alpha
         )
         val = i_plus(m, params)
         assert val == pytest.approx(oracle.value, rel=1e-8)
@@ -204,10 +195,7 @@ class TestOrderLevelSums:
         params = _params(10.0)
         alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1)) / params.rho
         oracle = integrate_semi_infinite(
-            QuadratureSpec(
-                integrand=_powered_integrand(params, m, mirrored=True), upper=alpha
-            ),
-            params.lambda_e,
+            _powered_integrand(params, m, mirrored=True), params.lambda_e, upper=alpha
         )
         assert i_minus(m, params) == pytest.approx(oracle.value, rel=1e-8)
 

@@ -11,7 +11,7 @@ from ris_sop.asymptotic import (
     sop_asymptotic_closed,
 )
 from ris_sop.errors import DomainError
-from ris_sop.quadrature import QuadratureSpec, integrate_semi_infinite
+from ris_sop.quadrature import integrate_semi_infinite
 from ris_sop.specfun import multinomial_set
 from ris_sop.sysmodel import CltParams, SystemConfig, derive_clt_params
 
@@ -37,9 +37,7 @@ class TestAsymptoticTerms:
             chi = (np.sqrt(params.rho * x / params.gamma0) - params.mu_d) / sigma_mk
             return 0.5 * np.exp(-0.5 * chi**2) * np.exp(-x / params.lambda_e) / params.lambda_e
 
-        oracle = integrate_semi_infinite(
-            QuadratureSpec(integrand=integrand, lower=lower), params.lambda_e
-        )
+        oracle = integrate_semi_infinite(integrand, params.lambda_e, lower=lower)
         assert i_plus_term_asym(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
     def test_agrees_with_finite_snr_term_when_saturated(self):
@@ -169,6 +167,14 @@ class TestSopAsymptoticClosed:
         assert len(above) >= 10
         assert all(b < a for a, b in zip(above, above[1:]))
         assert all(v <= 1e-12 for v in big[len(above):])
+
+    @pytest.mark.parametrize(
+        "n,r_th", [(64, 1012.0), (64, 1013.0), (64, 1023.5), (10**6, 1000.0)]
+    )
+    def test_matches_term_sum_route_at_huge_threshold(self, n, r_th):
+        # rho is finite but 2 pi rho N p.k is not; both routes saturate at 1.
+        cfg = SystemConfig(n_elements=n, r_th=r_th)
+        assert sop_asymptotic_closed(cfg) == sop_asymptotic(cfg).sop_simplified
 
     @pytest.mark.parametrize(
         "kw,field",

@@ -1,11 +1,16 @@
-"""The suite does not run the demos, so a package name they import could be
-deleted or renamed unnoticed; resolve their imports without running them."""
+"""The demos are examples, not tests, but a package name they import can be
+deleted or renamed unnoticed.  Resolve every demo's imports without running
+it, and run the print-only demo, which writes no files, end to end."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_every_package_import_in_the_demos_resolves():
@@ -23,3 +28,18 @@ def test_every_package_import_in_the_demos_resolves():
                 )
                 checked += 1
     assert checked > 0
+
+
+def test_saturation_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / "03_saturation_design_rules.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

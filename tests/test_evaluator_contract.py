@@ -48,12 +48,15 @@ configs = st.builds(
 # The path-gain ratio (d_re / d_rd)^upsilon overflowed to a bare OverflowError.
 @example(cfg=SystemConfig(d_re=1e300))
 @example(cfg=SystemConfig(d_rd=1e-300))
+# The fully reduced saturation level formed 2 pi rho N p.k in one product,
+# which overflowed to inf at a finite rho and made the level NaN.
+@example(cfg=SystemConfig(r_th=1013.0))
 def test_evaluators_return_a_probability_or_a_package_error(cfg):
     subdivisions = []  # one entry per quadrature call that converged
     original = integrate_semi_infinite
 
-    def counted(spec, lambda_scale):
-        res = original(spec, lambda_scale)
+    def counted(*args, **kwargs):
+        res = original(*args, **kwargs)
         subdivisions.append(res.subdivisions)
         return res
 

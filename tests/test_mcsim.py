@@ -44,6 +44,10 @@ class TestSampling:
             sample_gamma_e(CFG, 10, seed=-1)
         with pytest.raises(DomainError):
             sample_gamma_e(CFG, 10, seed=1, mode="quantum")
+        for n_samples, seed in ((10.0, 1), (True, 1), (10, 1.5), (10, False)):
+            with pytest.raises(DomainError):
+                sample_gamma_e(CFG, n_samples, seed=seed)
+        assert sample_gamma_e(CFG, np.int64(10), seed=np.uint64(1)).size == 10
 
     def test_eavesdropper_goodness_of_fit(self):
         # The exponential law is exact only in the large-N limit; at N=64
@@ -63,6 +67,15 @@ class TestEstimateSop:
             estimate_sop(CFG, "OUS", 10, seed=1, mode="quantum")
         with pytest.raises(DomainError):
             estimate_sop(CFG, "OUS", 10, seed=-3)
+        for scheme, trials, seed in (
+            ("OUS", 1e3, 1),
+            ("OUS", True, 1),
+            ("OUS", 10, 1.5),
+            ("NOMA_BU", 10, 1.5),
+        ):
+            with pytest.raises(DomainError):
+                estimate_sop(CFG, scheme, trials, seed=seed)
+        assert estimate_sop(CFG, "OUS", np.int64(10), seed=np.int64(1)).trials == 10
         with pytest.raises(ContractError):
             estimate_sop(SystemConfig(n_users=1), "NOMA_BU", 10, seed=1)
 

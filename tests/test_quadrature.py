@@ -8,7 +8,6 @@ from ris_sop import quadrature
 from ris_sop.errors import AccuracyError, DomainError
 from ris_sop.quadrature import (
     SOP_MAX_SUBDIVISIONS,
-    QuadratureSpec,
     integrate_semi_infinite,
     sop_quad_approx_q,
     sop_quad_asymptotic,
@@ -37,19 +36,15 @@ EXACT_Q_GRID = {
 
 class TestIntegrator:
     def test_density_normalizes(self):
-        res = integrate_semi_infinite(QuadratureSpec(integrand=_pdf), LAM)
+        res = integrate_semi_infinite(_pdf, LAM)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_bounded_integrand(self):
-        res = integrate_semi_infinite(
-            QuadratureSpec(integrand=lambda x: np.ones_like(x) * _pdf(x)), LAM
-        )
+        res = integrate_semi_infinite(lambda x: np.ones_like(x) * _pdf(x), LAM)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_mean_identity(self):
-        res = integrate_semi_infinite(
-            QuadratureSpec(integrand=lambda x: x * _pdf(x)), LAM
-        )
+        res = integrate_semi_infinite(lambda x: x * _pdf(x), LAM)
         assert res.value == pytest.approx(LAM, rel=1e-10)
 
     def test_against_scipy(self):
@@ -58,28 +53,27 @@ class TestIntegrator:
         def f(x):
             return np.cos(x) ** 2 * _pdf(x)
 
-        res = integrate_semi_infinite(QuadratureSpec(integrand=f), LAM)
+        res = integrate_semi_infinite(f, LAM)
         ref, _ = quad(lambda x: float(f(np.asarray(x))), 0, np.inf, limit=400)
         assert res.value == pytest.approx(ref, rel=1e-9)
 
     def test_truncation_doubling_insensitive(self):
-        base = integrate_semi_infinite(QuadratureSpec(integrand=_pdf), LAM)
-        wide = integrate_semi_infinite(
-            QuadratureSpec(integrand=_pdf, upper=70.0 * LAM), LAM
-        )
+        base = integrate_semi_infinite(_pdf, LAM)
+        wide = integrate_semi_infinite(_pdf, LAM, upper=70.0 * LAM)
         assert wide.value == pytest.approx(base.value, rel=1e-10)
 
-    def test_halving_tolerance_stays_within_error(self):
+    def test_error_bound_holds_against_mpmath(self):
         def f(x):
             return np.sqrt(x + 0.1) * _pdf(x)
 
-        loose = integrate_semi_infinite(
-            QuadratureSpec(integrand=f, rel_tol=1e-6), LAM
-        )
-        tight = integrate_semi_infinite(
-            QuadratureSpec(integrand=f, rel_tol=5e-7), LAM
-        )
-        assert abs(loose.value - tight.value) <= loose.error
+        res = integrate_semi_infinite(f, LAM)
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(LAM)
+            ref = mpmath.quad(
+                lambda x: mpmath.sqrt(x + mpmath.mpf("0.1")) * mpmath.exp(-x / lam) / lam,
+                [0, lam, 10 * lam, mpmath.inf],
+            )
+        assert abs(res.value - float(ref)) <= res.error
 
     def test_breakpoint_handles_kink(self):
         kink = 1.7
@@ -87,38 +81,30 @@ class TestIntegrator:
         def f(x):
             return np.where(x < kink, x, 2 * kink - 0.5 * x).clip(min=0) * _pdf(x)
 
-        with_bp = integrate_semi_infinite(
-            QuadratureSpec(integrand=f, breakpoints=(kink,)), LAM
-        )
-        without = integrate_semi_infinite(QuadratureSpec(integrand=f), LAM)
+        with_bp = integrate_semi_infinite(f, LAM, breakpoints=(kink,))
+        without = integrate_semi_infinite(f, LAM)
         assert with_bp.value == pytest.approx(without.value, rel=1e-8)
         assert with_bp.subdivisions <= without.subdivisions
 
     def test_lower_bound_offset(self):
-        res = integrate_semi_infinite(QuadratureSpec(integrand=_pdf, lower=LAM), LAM)
+        res = integrate_semi_infinite(_pdf, LAM, lower=LAM)
         assert res.value == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_finite_upper(self):
-        res = integrate_semi_infinite(
-            QuadratureSpec(integrand=_pdf, upper=LAM), LAM
-        )
+        res = integrate_semi_infinite(_pdf, LAM, upper=LAM)
         assert res.value == pytest.approx(1 - math.exp(-1.0), rel=1e-10)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            QuadratureSpec(integrand=_pdf, rel_tol=1e-3)
-        with pytest.raises(DomainError):
-            QuadratureSpec(integrand=_pdf, rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(integrand=_pdf, lower=-1.0)
+            integrate_semi_infinite(_pdf, LAM, lower=-1.0)
 
-    def test_stall_raises_with_best_estimate(self):
+    def test_stall_raises_with_best_estimate(self, monkeypatch):
         def jagged(x):
             return (1.0 + np.sin(200.0 * x)) * _pdf(x)
 
-        spec = QuadratureSpec(integrand=jagged, max_subdivisions=3)
+        monkeypatch.setattr(quadrature, "SOP_MAX_SUBDIVISIONS", 3)
         with pytest.raises(AccuracyError) as exc:
-            integrate_semi_infinite(spec, LAM)
+            integrate_semi_infinite(jagged, LAM)
         assert math.isfinite(exc.value.value)
         assert exc.value.error > 0
 
@@ -251,8 +237,8 @@ class TestDeepTail:
     def test_matches_mpmath_within_budget(self, gamma0_db, route, mp_q, monkeypatch):
         counts = []
 
-        def counted(spec, lambda_scale):
-            res = integrate_semi_infinite(spec, lambda_scale)
+        def counted(*args, **kwargs):
+            res = integrate_semi_infinite(*args, **kwargs)
             counts.append(res.subdivisions)
             return res
 
@@ -274,13 +260,24 @@ class TestDeepTail:
             return q_exact(z) + 1e-6 * np.cos(1e12 * z)
 
         calls = []
+        panels = []
+        panel = quadrature._panel
 
-        def counted(spec, lambda_scale):
-            calls.append(spec.max_subdivisions)
-            return integrate_semi_infinite(spec, lambda_scale)
+        def counted(*args, **kwargs):
+            calls.append(kwargs["breakpoints"])
+            return integrate_semi_infinite(*args, **kwargs)
+
+        def counted_panel(*args):
+            panels.append(None)
+            return panel(*args)
 
         monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
+        monkeypatch.setattr(quadrature, "_panel", counted_panel)
         cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=20.0)
         with pytest.raises(AccuracyError):
             quadrature._sop_quad(derive_clt_params(cfg), cfg.n_users, noisy_q)
-        assert calls == [SOP_MAX_SUBDIVISIONS]
+        # add_span presplits each gap between panel edges into <= 8 panels;
+        # each split then costs two panels.
+        [breakpoints] = calls
+        initial = 8 * (len(breakpoints) + 1)
+        assert len(panels) <= 2 * SOP_MAX_SUBDIVISIONS + initial
