@@ -29,6 +29,6 @@ for g in (0.0, 10.0, 20.0, 30.0, 40.0):
 print(
     "\ntier1 ~ 1e-13: the closed form IS its integral.  tier2 ~ 0.3%: the"
     "\nthree-exponential fit is cheap.  The Monte Carlo column differs by"
-    "\nseveral percent: the price of the user-independence and Gaussian"
+    "\n8.1-22.8%: the price of the user-independence and Gaussian"
     "\namplitude assumptions in the analytic model at N=64."
 )

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ContractError, EvaluationError
-from .specfun import MultinomialTerm, exp_times_q, multinomial_set, signed_binom
+from .specfun import (
+    ORDER_CAP, MultinomialTerm, exp_times_q, multinomial_set, signed_binom,
+)
 from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -136,8 +138,10 @@ def sop_closed_form(cfg: SystemConfig) -> SopResult:
     """
     params = derive_clt_params(cfg)
     m_users = cfg.n_users
-    if m_users > 16:
-        raise CapacityError(f"n_users capped at 16 for the closed form, got {m_users}")
+    if m_users > ORDER_CAP:
+        raise CapacityError(
+            f"n_users capped at {ORDER_CAP} for the closed form, got {m_users}"
+        )
     xi, xi_c = params.xi, params.xi_complement()
     alpha = params.branch_point()
     orders = range(1, m_users + 1)

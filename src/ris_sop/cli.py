@@ -109,7 +109,12 @@ def _coerce(name: str, value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name}: a {value.bit_length()}-bit integer leaves the float64 range"
+        ) from None
 
 
 def _check_trials(value):
@@ -136,6 +141,8 @@ def parse_config(document: str) -> SweepSpec:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
     _reject_unknown(

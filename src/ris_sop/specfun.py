@@ -4,7 +4,9 @@ Everything here is pure and reentrant.  The Q-function is evaluated through
 the complementary error function; a log-domain variant is provided so that
 products of the form ``exp(a) * Q(b)`` can be assembled without overflow even
 when ``a`` runs into the thousands (which happens routinely at the extremes
-of a transmit-SNR sweep).
+of a transmit-SNR sweep).  The Q functions work elementwise on arrays, as
+the quadrature integrands need; ``log_q`` and ``exp_times_q`` take and
+return scalars, as the term sums need.
 """
 
 from __future__ import annotations
@@ -63,25 +65,19 @@ def q_exact(x):
     return out if arr.ndim else float(out)
 
 
-def log_q(x):
-    """Natural log of the Gaussian tail probability, stable for huge |x|.
+def log_q(x: float) -> float:
+    """Natural log of the Gaussian tail probability at one float x.
 
     For x >= 0 the scaled complementary error function is used, so the result
     is accurate (relative error well under 1e-12) even for x up to 1e4 where
-    Q(x) itself underflows.  For x < 0 the value is log1p(-Q(-x)).
+    Q(x) itself underflows.  For x < 0 the value is log1p(-Q(-x)).  It takes
+    a scalar, not an array, and NaN raises DomainError.
     """
-    arr = _asarray_checked(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    if pos.any():
-        z = arr[pos]
-        out[pos] = np.log(0.5 * _sp.erfcx(z / _SQRT2)) - 0.5 * z * z
-    if (~pos).any():
-        z = arr[~pos]
-        out[~pos] = np.log1p(-0.5 * _sp.erfc(-z / _SQRT2))
-    return float(out[0]) if scalar else out
+    if math.isnan(x):
+        raise DomainError("Q-function argument must not be NaN")
+    if x >= 0:
+        return float(np.log(0.5 * _sp.erfcx(x / _SQRT2)) - 0.5 * x * x)
+    return float(np.log1p(-0.5 * _sp.erfc(-x / _SQRT2)))
 
 
 def q_approx3(x):

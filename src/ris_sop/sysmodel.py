@@ -45,6 +45,13 @@ class SystemConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+            try:
+                float(value)  # as the derived statistics convert it
+            except OverflowError:
+                bits = int(value).bit_length()
+                raise DomainError(
+                    f"{name}: a {bits}-bit integer leaves the float64 range"
+                ) from None
         if self.n_elements < 1:
             raise DomainError(f"n_elements must be >= 1, got {self.n_elements}")
         if self.n_users < 1:
@@ -150,10 +157,14 @@ def derive_clt_params(cfg: SystemConfig) -> CltParams:
     mu_d = (math.pi / 4.0) * math.sqrt(pair_gain) * cfg.n_elements
     sigma2_d = ((16.0 - math.pi**2) / 16.0) * pair_gain * cfg.n_elements
     lambda_e = (zeta_re * zeta_sr * gamma0) * cfg.n_elements
-    for name, value in dict(
-        d_sr=zeta_sr, d_rd=zeta_rd, d_re=zeta_re, gamma0_db=gamma0,
-        mu_d=mu_d, sigma2_d=sigma2_d, lambda_e=lambda_e,
-    ).items():  # a finite config can still give a value past the float64 range
+    # The terms square mu_d, the quadrature's breakpoints every amplitude up
+    # to mu_d + 8 sigma_d; ``**`` raises OverflowError past the float64 range.
+    amp_top = mu_d + 8.0 * math.sqrt(sigma2_d)
+    for name, value in {
+        "d_sr": zeta_sr, "d_rd": zeta_rd, "d_re": zeta_re, "gamma0_db": gamma0,
+        "mu_d": mu_d, "sigma2_d": sigma2_d, "lambda_e": lambda_e,
+        "(mu_d + 8 sigma_d)^2": amp_top * amp_top,
+    }.items():  # a finite config can still give a value past the float64 range
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name}: linear value {value} leaves the float64 range")
     z = mu_d / math.sqrt(sigma2_d)

@@ -201,9 +201,20 @@ class TestMain:
              "invalid base configuration: gamma0_db must be finite, got nan"),
             ('{"base": {"d_sr": Infinity}}', "d_sr must be finite, got inf"),
             ('{"base": {"z0": -Infinity}}', "z0 must be finite, got -inf"),
+            ('{"base": {"d_re": %s}}' % (10**400),
+             "d_re: a 1329-bit integer leaves the float64 range"),
+            ('{"sweep": {"d_re": [30, %s]}}' % (10**400),
+             "d_re: a 1329-bit integer leaves the float64 range"),
+            ('{"base": {"n_elements": %s}}' % (10**400),
+             "n_elements: a 1329-bit integer leaves the float64 range"),
+            ('{"sweep": {"n_users": [3, %s]}}' % (10**400),
+             "n_users: a 1329-bit integer leaves the float64 range"),
+            ('{"base": {"d_re": %s}}' % ("1" * 5000), "malformed JSON"),
         ],
         ids=["axis-negative", "axis-nan", "axis-inf", "axis-minus-inf",
-             "base-nan", "base-inf", "base-minus-inf"],
+             "base-nan", "base-inf", "base-minus-inf", "base-huge-float-field",
+             "axis-huge-float-field", "base-huge-int-field", "axis-huge-int-field",
+             "digit-limit"],
     )
     def test_every_subcommand_rejects_bad_values(
         self, tmp_path, capsys, document, message
@@ -309,6 +320,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert "row error" in err and "gamma0_db" in err
         assert "out of range" not in err
+
+    def test_oracle_reports_an_overflowing_amplitude_square(self, tmp_path, capsys):
+        # Every linear gain is finite here, but mu_d^2 is not.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": {"d_sr": 10**-42.5, "d_rd": 10**-42.5}}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        row, summary = captured.out.strip().split("\n")
+        assert row.startswith("point 0 ") and "DomainError" in row
+        assert "mu_d" in row and row.endswith("FAIL")
+        assert summary == "oracle: FAIL (1 points)"
+        assert "Traceback" not in captured.err
 
     def test_oracle_reports_an_out_of_range_threshold(self, tmp_path, capsys):
         # 2^r_th overflows float64 from r_th = 1024.

@@ -1,6 +1,6 @@
 """The demos are examples, not tests, but a package name they import can be
 deleted or renamed unnoticed.  Resolve every demo's imports without running
-it, and run the print-only demo, which writes no files, end to end."""
+it, and run the print-only demos, which write no files, end to end."""
 
 import ast
 import importlib
@@ -30,16 +30,25 @@ def test_every_package_import_in_the_demos_resolves():
     assert checked > 0
 
 
-def test_saturation_demo_runs():
+def _run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / "03_saturation_design_rules.py")],
+    return subprocess.run(
+        [sys.executable, str(DEMOS / name)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_saturation_demo_runs():
+    proc = _run_demo("03_saturation_design_rules.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cross_validation_demo_runs():
+    proc = _run_demo("04_cross_validation_oracle.py")
     assert proc.returncode == 0, proc.stderr

@@ -51,6 +51,9 @@ configs = st.builds(
 # The fully reduced saturation level formed 2 pi rho N p.k in one product,
 # which overflowed to inf at a finite rho and made the level NaN.
 @example(cfg=SystemConfig(r_th=1013.0))
+# mu_d was finite but mu_d**2, in the terms and the quadrature's breakpoints,
+# raised a bare OverflowError.
+@example(cfg=SystemConfig(d_sr=10**-42.5, d_rd=10**-42.5))
 def test_evaluators_return_a_probability_or_a_package_error(cfg):
     subdivisions = []  # one entry per quadrature call that converged
     original = integrate_semi_infinite

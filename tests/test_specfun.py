@@ -69,8 +69,14 @@ class TestLogQ:
             assert log_q(x) == pytest.approx(ref, rel=1e-12)
 
     def test_matches_plain_q_in_moderate_range(self):
-        xs = np.linspace(-8, 8, 101)
-        assert np.allclose(np.exp(log_q(xs)), q_exact(xs), rtol=1e-13)
+        for x in np.linspace(-8, 8, 101):
+            value = log_q(float(x))
+            assert type(value) is float
+            assert math.exp(value) == pytest.approx(q_exact(float(x)), rel=1e-13, abs=0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            log_q(float("nan"))
 
 
 class TestQApprox3:
@@ -170,6 +176,10 @@ class TestExpTimesQ:
 
     def test_absorbing_zero(self):
         assert exp_times_q(-math.inf, 3.0) == 0.0
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            exp_times_q(0.0, float("nan"))
 
     def test_matches_direct_product(self):
         for a in (-5.0, 0.0, 2.5, 30.0):

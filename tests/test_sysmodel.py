@@ -60,6 +60,12 @@ class TestRhoOf:
             derive_clt_params(SystemConfig(r_th=r_th))
 
 
+def test_overflowing_amplitude_square_names_mu_d():
+    # The gains and mu_d itself are finite; the square the terms take is not.
+    with pytest.raises(DomainError, match="mu_d"):
+        derive_clt_params(SystemConfig(d_sr=10**-42.5, d_rd=10**-42.5))
+
+
 def _unit_gain_config(n, m=3, gamma0_db=0.0):
     # z0 = 0 at d = 1 m makes every linear gain exactly 1.
     return SystemConfig(
@@ -151,6 +157,8 @@ class TestSystemConfigValidation:
             {"n_elements": 64.0},
             {"n_elements": "64"},
             {"n_users": True},
+            {"n_elements": 10**400},
+            {"n_users": 2**1024 - 1},  # rounds up to 2^1024 as a float
         ],
     )
     def test_rejects_bad_values(self, kwargs):
