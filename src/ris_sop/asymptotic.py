@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import i_plus, i_plus_term, j_plus, j_plus_term
+from .analytic import i_plus_term, j_plus_term, order_sums
 from .errors import DomainError
 from .specfun import Q_APPROX, MultinomialTerm, multinomial_set, signed_binom
 from .specfun import exp_times_q  # noqa: F401 - bench/tracing.py wraps this name
@@ -96,9 +96,10 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
     m_users = cfg.n_users
     c = cfg.n_elements * math.pi**2 * _gain_ratio(cfg) / (16.0 * params.rho)
     p1 = -math.expm1(-c)
-    i_vals = {m: i_plus(m, params) for m in range(1, m_users + 1)}
-    p3 = sum(signed_binom(m_users, m) * i_vals[m] for m in range(1, m_users + 1))
-    p2 = i_vals[m_users] - j_plus(m_users, params)
+    sums = [order_sums(m, params) for m in range(1, m_users + 1)]
+    p3 = sum(signed_binom(m_users, m) * t for m, (_, t) in enumerate(sums, 1))
+    j_top, t_top = sums[-1]
+    p2 = t_top - j_top
     # Rounding can leave an underflowed level a few subnormals below 0.
     sop_simplified = max(math.exp(-c) - p3, 0.0)
     return AsymptoticBreakdown(

@@ -14,7 +14,7 @@ class ContractError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """A closed-form evaluation lost finiteness despite log-domain assembly."""
+    """An evaluation lost finiteness or came out a negative probability."""
 
 
 class AccuracyError(RuntimeError):

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, EvaluationError
 from .specfun import q_approx3, q_exact
 from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
@@ -232,9 +232,14 @@ def sop_quad_approx_q(cfg: SystemConfig) -> QuadResult:
 
     Numerically integrates exactly what the closed form evaluates
     analytically, so agreement with :func:`ris_sop.analytic.sop_closed_form`
-    certifies the term algebra with no approximation gap in between.
+    certifies the term algebra with no approximation gap in between.  The
+    fit's own error near zero amplitude can make the integral negative (N=1
+    at 100 dB); EvaluationError names it instead of a clip hiding it.
     """
-    return _sop_quad(derive_clt_params(cfg), cfg.n_users, q_approx3)
+    res = _sop_quad(derive_clt_params(cfg), cfg.n_users, q_approx3)
+    if res.value < 0:
+        raise EvaluationError(f"fitted-Q SOP integral is negative: {res.value:.6e}")
+    return res
 
 
 def sop_quad_asymptotic(cfg: SystemConfig) -> QuadResult:

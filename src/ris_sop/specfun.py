@@ -11,6 +11,7 @@ return scalars, as the term sums need.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -121,12 +122,14 @@ class MultinomialTerm:
     p_dot_k: float
 
 
-def multinomial_set(m: int) -> list[MultinomialTerm]:
+@functools.cache
+def multinomial_set(m: int) -> tuple[MultinomialTerm, ...]:
     """All integer triples (k1, k2, k3) with k1+k2+k3 = m, exactly once.
 
-    The list has (m+1)(m+2)/2 entries.  Coefficients are exact integers for
-    every supported order; orders above ORDER_CAP are refused because the
-    binomial prefactors of the outage sum grow factorially.
+    The cached tuple of (m+1)(m+2)/2 entries is built once per order.
+    Coefficients are exact integers for every supported order; orders above
+    ORDER_CAP are refused because the binomial prefactors of the outage sum
+    grow factorially.
     """
     if m < 1:
         raise DomainError(f"expansion order must be >= 1, got {m}")
@@ -152,7 +155,7 @@ def multinomial_set(m: int) -> list[MultinomialTerm]:
                     p_dot_k=k1 * p1 + k2 * p2 + k3 * p3,
                 )
             )
-    return terms
+    return tuple(terms)
 
 
 def signed_binom(x: int, y: int) -> int:

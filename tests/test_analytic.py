@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from ris_sop.analytic import (
-    i_minus,
-    i_plus,
     i_plus_term,
-    j_plus,
     j_plus_term,
+    order_sums,
     sop_closed_form,
 )
 from ris_sop.errors import CapacityError, ContractError
@@ -145,7 +143,7 @@ class TestOrderLevelSums:
         oracle = integrate_semi_infinite(
             _powered_integrand(params, m), params.lambda_e, breakpoints=(alpha,)
         )
-        assert j_plus(m, params) == pytest.approx(oracle.value, rel=1e-8)
+        assert order_sums(m, params)[0] == pytest.approx(oracle.value, rel=1e-8)
 
     def test_j_plus_exact_q_gap_small_on_single_branch(self):
         # Replacing the fitted Q by the exact one quantifies the fit error
@@ -162,7 +160,7 @@ class TestOrderLevelSums:
             )
 
         oracle = integrate_semi_infinite(exact_integrand, params.lambda_e)
-        assert j_plus(1, params) == pytest.approx(oracle.value, rel=0.05)
+        assert order_sums(1, params)[0] == pytest.approx(oracle.value, rel=0.05)
 
     def test_point_mass_limit(self):
         # Far-away eavesdropper: its SNR collapses to a point mass at zero,
@@ -174,7 +172,7 @@ class TestOrderLevelSums:
             for w, p in zip(Q_APPROX.w, Q_APPROX.p)
         )
         for m in (1, 2):
-            assert j_plus(m, params) == pytest.approx(s0**m, rel=1e-9, abs=0)
+            assert order_sums(m, params)[0] == pytest.approx(s0**m, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_i_plus_matches_quadrature_and_is_dominated(self, m):
@@ -183,49 +181,49 @@ class TestOrderLevelSums:
         oracle = integrate_semi_infinite(
             _powered_integrand(params, m), params.lambda_e, lower=alpha
         )
-        val = i_plus(m, params)
+        j_val, val = order_sums(m, params)
         assert val == pytest.approx(oracle.value, rel=1e-8)
-        assert val <= j_plus(m, params)
+        assert val <= j_val
 
     def test_i_plus_frozen_regression(self):
-        assert i_plus(3, _params(30.0)) == pytest.approx(I_PLUS3_FROZEN, rel=1e-8)
+        assert order_sums(3, _params(30.0))[1] == pytest.approx(
+            I_PLUS3_FROZEN, rel=1e-8
+        )
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_i_minus_matches_quadrature(self, m):
+    def test_head_matches_quadrature(self, m):
+        # J+(m) - I+(m) is the order-m integral over [0, alpha], the head
+        # the closed form assembles.
         params = _params(10.0)
-        alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1)) / params.rho
         oracle = integrate_semi_infinite(
-            _powered_integrand(params, m, mirrored=True), params.lambda_e, upper=alpha
+            _powered_integrand(params, m),
+            params.lambda_e,
+            upper=params.branch_point(),
         )
-        assert i_minus(m, params) == pytest.approx(oracle.value, rel=1e-8)
+        j_val, t_val = order_sums(m, params)
+        assert j_val - t_val == pytest.approx(oracle.value, rel=1e-8)
 
-    def test_i_minus_first_order_identity(self):
-        params = _params(10.0)
-        alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1)) / params.rho
-        expected = (
-            1.0
-            - math.exp(-alpha / params.lambda_e)
-            - (j_plus(1, params) - i_plus(1, params))
-        )
-        assert i_minus(1, params) == pytest.approx(expected, rel=1e-12)
-
-    def test_i_minus_empty_domain_limit(self):
-        probe = _params(0.0)
-        g_star = (probe.rho - 1.0) / probe.mu_d**2
-        params = _params(10 * math.log10(g_star * (1 + 1e-9)))
-        assert abs(i_minus(2, params)) < 1e-8
-
-    def test_i_minus_branch_precondition(self):
-        with pytest.raises(ContractError):
-            i_minus(2, _params(-10.0))
+    def test_tail_is_full_range_without_a_branch_point(self):
+        params = _params(-10.0)
+        assert params.branch_point() < 0
+        for m in (1, 2, 3):
+            j_val, t_val = order_sums(m, params)
+            assert t_val == j_val
 
 
 class TestSopClosedForm:
     def test_single_user_collapse(self):
+        # One user: SOP = 1 - xi * (tail integral of the fitted Q + head
+        # integral of its mirrored branch over [0, alpha]).
         cfg = SystemConfig(n_elements=64, n_users=1, gamma0_db=15.0)
         params = derive_clt_params(cfg)
-        direct = 1.0 - params.xi * (i_plus(1, params) + i_minus(1, params))
-        assert sop_closed_form(cfg).value == pytest.approx(direct, rel=1e-12)
+        head = integrate_semi_infinite(
+            _powered_integrand(params, 1, mirrored=True),
+            params.lambda_e,
+            upper=params.branch_point(),
+        )
+        direct = 1.0 - params.xi * (order_sums(1, params)[1] + head.value)
+        assert sop_closed_form(cfg).value == pytest.approx(direct, rel=1e-8)
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0, 30.0, 40.0])
     def test_matches_fitted_q_quadrature(self, gamma0_db):

@@ -333,6 +333,39 @@ class TestMain:
         assert summary == "oracle: FAIL (1 points)"
         assert "Traceback" not in captured.err
 
+    # At N=1 the fitted CDF dips below 0 near zero amplitude, and at 100 dB
+    # that dip carries all of the exponential weight: the fitted-Q integral
+    # is -4.6e-4, which the sweep used to write as 0.0.
+    NEGATIVE_FIT = {"n_elements": 1, "n_users": 1, "d_sr": 1.0, "d_rd": 1.0,
+                    "gamma0_db": 100.0}
+
+    def test_oracle_reports_a_negative_fitted_q_integral(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": self.NEGATIVE_FIT}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        row, summary = captured.out.strip().split("\n")
+        assert row.startswith("point 0 ") and "EvaluationError" in row
+        assert "-4.596" in row and row.endswith("FAIL")
+        assert summary == "oracle: FAIL (1 points)"
+        assert "Traceback" not in captured.err
+
+    def test_sweep_records_a_negative_fitted_q_integral(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "base": self.NEGATIVE_FIT,
+            "evaluators": ["closed", "quad_exact", "quad_approx"],
+        }))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        (row,) = parse_csv(out.read_text())
+        assert row.sop_quad_approx is None
+        assert row.sop_closed == 0.0 and row.sop_quad_exact > 1e-3
+        assert (
+            "quad_approx: fitted-Q SOP integral is negative: -4.596"
+            in capsys.readouterr().err
+        )
+
     def test_oracle_reports_an_out_of_range_threshold(self, tmp_path, capsys):
         # 2^r_th overflows float64 from r_th = 1024.
         path = tmp_path / "cfg.json"

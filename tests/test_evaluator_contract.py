@@ -27,13 +27,19 @@ EVALUATORS = {
     "quad_asymptotic": lambda cfg: [sop_quad_asymptotic(cfg).value],
 }
 
+# Every SystemConfig field is drawn; r_th reaches 1023, just under the
+# 2^r_th overflow that rho_of refuses.
 configs = st.builds(
     SystemConfig,
     gamma0_db=st.floats(-60.0, 150.0),
     n_elements=st.integers(1, 65536),
     n_users=st.integers(1, 16),
-    r_th=st.floats(0.01, 8.0),
+    r_th=st.floats(0.01, 1023.0),
+    d_sr=st.floats(1e-3, 1e4),
+    d_rd=st.floats(1e-3, 1e4),
     d_re=st.floats(1.0, 500.0),
+    z0=st.floats(-50.0, 150.0),
+    upsilon=st.floats(0.5, 8.0),
 )
 
 
@@ -54,6 +60,11 @@ configs = st.builds(
 # mu_d was finite but mu_d**2, in the terms and the quadrature's breakpoints,
 # raised a bare OverflowError.
 @example(cfg=SystemConfig(d_sr=10**-42.5, d_rd=10**-42.5))
+# The fitted CDF's negative dip near zero amplitude carried all of the
+# exponential weight, and the fitted-Q quadrature returned -4.6e-4.
+@example(
+    cfg=SystemConfig(n_elements=1, n_users=1, d_sr=1.0, d_rd=1.0, gamma0_db=100.0)
+)
 def test_evaluators_return_a_probability_or_a_package_error(cfg):
     subdivisions = []  # one entry per quadrature call that converged
     original = integrate_semi_infinite

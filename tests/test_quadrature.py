@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ris_sop import quadrature
-from ris_sop.errors import AccuracyError, DomainError
+from ris_sop.errors import AccuracyError, DomainError, EvaluationError
 from ris_sop.quadrature import (
     SOP_MAX_SUBDIVISIONS,
     integrate_semi_infinite,
@@ -159,6 +159,17 @@ class TestSopQuadratures:
         res = sop_quad_exact_q(cfg)
         assert 0.0 < res.error < 1e-9 * res.value * 10
         assert 0 <= res.subdivisions <= quadrature.SOP_MAX_SUBDIVISIONS
+
+    @pytest.mark.parametrize("n_users, value", [(1, "-4.596"), (3, "-4.06")])
+    def test_negative_fitted_integral_raises(self, n_users, value):
+        # At N=1 the fitted CDF is about -1.5e-3 at zero amplitude, and at
+        # 100 dB all of the exponential weight falls there.
+        cfg = SystemConfig(
+            n_elements=1, n_users=n_users, d_sr=1.0, d_rd=1.0, gamma0_db=100.0
+        )
+        with pytest.raises(EvaluationError, match=f"negative: {value}"):
+            sop_quad_approx_q(cfg)
+        assert sop_quad_exact_q(cfg).value > 0.0
 
 
 def _mp_q_exact(z):

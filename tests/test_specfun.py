@@ -140,6 +140,11 @@ class TestMultinomialSet:
             assert t.weight_product > 0
             assert t.p_dot_k >= m * pmin
 
+    def test_built_once_and_immutable(self):
+        terms = multinomial_set(5)
+        assert isinstance(terms, tuple)
+        assert multinomial_set(5) is terms
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             multinomial_set(17)
