@@ -416,6 +416,10 @@ def main(argv=None) -> int:
             spec = dataclasses.replace(spec, mc_trials=_check_trials(args.trials))
         if args.command == "sweep" and args.seed is not None:
             spec = dataclasses.replace(spec, seed=_check_seed(args.seed))
+        if args.command == "sweep":
+            # Fail before the grid runs, not after; append mode truncates
+            # nothing, so an existing file keeps its contents until then.
+            open(args.out, "a", encoding="utf-8").close()
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

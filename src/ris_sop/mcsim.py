@@ -9,7 +9,11 @@ against an independent full-complex reference simulator.
 Reproducibility contract: all randomness comes from counter-based streams
 keyed by (seed, chunk-of-slots, link tag), so the outage count for a given
 (seed, trials, scheme, mode) is bit-identical no matter which thread runs
-the estimate or how many sweep points run alongside it.
+the estimate or how many sweep points run alongside it.  One driver,
+:func:`_per_chunk`, runs every estimate: it validates the run, derives the
+model parameters once and calls a chunk kernel on each block of
+:data:`CHUNK_SLOTS` slots in block order.  The estimators only reduce its
+per-chunk results, so a new estimator inherits the contract unchanged.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is
@@ -72,7 +76,6 @@ class McEstimate:
     sop_hat: float
     ci_low: float
     ci_high: float
-    seed: int
 
     @property
     def stderr(self) -> float:
@@ -80,7 +83,7 @@ class McEstimate:
         return (self.ci_high - self.ci_low) / (2.0 * _WILSON_Z)
 
 
-def _wilson(outages: int, trials: int, seed: int) -> McEstimate:
+def _wilson(outages: int, trials: int) -> McEstimate:
     n = trials
     p = outages / n
     z2 = _WILSON_Z**2
@@ -95,7 +98,6 @@ def _wilson(outages: int, trials: int, seed: int) -> McEstimate:
         sop_hat=p,
         ci_low=0.0 if outages == 0 else max(0.0, center - half),
         ci_high=1.0 if outages == n else min(1.0, center + half),
-        seed=seed,
     )
 
 
@@ -173,17 +175,13 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     return bu_out, wu_out, ous_out
 
 
-def _chunks(trials: int):
-    block = 0
-    done = 0
-    while done < trials:
-        size = min(CHUNK_SLOTS, trials - done)
-        yield block, size
-        block += 1
-        done += size
+def _gamma_e_chunk(cfg, p, seed, block, size, independent):
+    g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, cfg.n_elements))
+    return _eav_snr(p, g_sr, seed, block, size, independent)
 
 
-def _check_run(mode: str, trials: int, seed: int) -> None:
+def _per_chunk(kernel, cfg, trials, seed, mode) -> list:
+    """``kernel``'s result on each chunk of a ``trials``-slot run, in block order."""
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     for name, value in (("trials", trials), ("seed", seed)):
@@ -193,6 +191,12 @@ def _check_run(mode: str, trials: int, seed: int) -> None:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed}")
+    p = derive_clt_params(cfg)
+    independent = mode == "independent"
+    return [
+        kernel(cfg, p, seed, block, min(CHUNK_SLOTS, trials - start), independent)
+        for block, start in enumerate(range(0, trials, CHUNK_SLOTS))
+    ]
 
 
 def estimate_sop(
@@ -207,14 +211,7 @@ def estimate_sop(
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme != "OUS":
         return estimate_schemes_paired(cfg, trials, seed, mode)[scheme]
-    _check_run(mode, trials, seed)
-    p = derive_clt_params(cfg)
-    independent = mode == "independent"
-    outages = sum(
-        _ous_chunk(cfg, p, seed, block, size, independent)
-        for block, size in _chunks(trials)
-    )
-    return _wilson(outages, trials, seed)
+    return _wilson(sum(_per_chunk(_ous_chunk, cfg, trials, seed, mode)), trials)
 
 
 def estimate_noma_pair(
@@ -241,19 +238,14 @@ def estimate_schemes_paired(
     as its power-sharing NOMA counterpart, so ordering checks become exact
     rather than statistical.
     """
-    _check_run(mode, trials, seed)
     if cfg.n_users < 2:
         raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
-    p = derive_clt_params(cfg)
-    independent = mode == "independent"
-    counts = [
-        _noma_chunk(cfg, p, seed, block, size, independent)
-        for block, size in _chunks(trials)
-    ]
+    counts = _per_chunk(_noma_chunk, cfg, trials, seed, mode)
+    bu, wu, ous = (sum(column) for column in zip(*counts))
     return {
-        "NOMA_BU": _wilson(sum(c[0] for c in counts), trials, seed),
-        "NOMA_WU": _wilson(sum(c[1] for c in counts), trials, seed),
-        "OUS": _wilson(sum(c[2] for c in counts), trials, seed),
+        "NOMA_BU": _wilson(bu, trials),
+        "NOMA_WU": _wilson(wu, trials),
+        "OUS": _wilson(ous, trials),
     }
 
 
@@ -264,13 +256,4 @@ def sample_gamma_e(
     mode: str = "physical",
 ) -> np.ndarray:
     """Eavesdropper SNR samples as the estimator kernels generate them."""
-    _check_run(mode, n_samples, seed)
-    p = derive_clt_params(cfg)
-    independent = mode == "independent"
-    out = []
-    for block, size in _chunks(n_samples):
-        g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential(
-            (size, cfg.n_elements)
-        )
-        out.append(_eav_snr(p, g_sr, seed, block, size, independent))
-    return np.concatenate(out)
+    return np.concatenate(_per_chunk(_gamma_e_chunk, cfg, n_samples, seed, mode))

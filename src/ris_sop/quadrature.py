@@ -210,13 +210,15 @@ def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
     # At large N the CDF's climb over -8 < z < 8 is a few percent of alpha
     # wide and can fall between the first panels' nodes; z = 0 is alpha.
     amplitudes = [p.mu_d + z * sigma for z in (0, -1, 1, -2, 2, -4, 4, -8, 8)]
-    return integrate_semi_infinite(
-        integrand,
-        p.lambda_e,
-        breakpoints=tuple(
-            (a**2 * p.gamma0 - p.offset) / p.rho for a in amplitudes if a > 0
-        ),
+    breakpoints = tuple(
+        (a**2 * p.gamma0 - p.offset) / p.rho for a in amplitudes if a > 0
     )
+    # At r_th near 1023, rho * x and q_approx3's z * z overflow to inf at the
+    # far nodes.  That is the right limit (z -> inf, so the CDF -> 1), not an
+    # error, so the warning is silenced here, once per integral rather than
+    # per integrand call; invalid and divide still warn.
+    with np.errstate(over="ignore"):
+        return integrate_semi_infinite(integrand, p.lambda_e, breakpoints=breakpoints)
 
 
 def sop_quad_exact_q(cfg: SystemConfig) -> QuadResult:

@@ -378,6 +378,36 @@ class TestMain:
         assert summary == "oracle: FAIL (1 points)"
         assert "Traceback" not in captured.err
 
+    def test_sweep_checks_out_before_evaluating(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"evaluators": ["closed"]}')
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
+    def test_sweep_keeps_an_existing_out_until_it_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"evaluators": ["closed"]}')
+        out = tmp_path / "o.csv"
+        out.write_text("previous run\n")
+        seen = []
+        real = cli.run_sweep
+
+        def sweep(*args, **kwargs):
+            seen.append(out.read_text())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", sweep)
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert seen == ["previous run\n"]
+        assert out.read_text().startswith(CSV_HEADER)
+
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json",
                      "--out", "/tmp/x.csv"]) == 1

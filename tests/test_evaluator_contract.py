@@ -1,8 +1,10 @@
 """Every analytic evaluator, anywhere in the validated configuration domain,
-returns a probability in [0, 1] or raises a package error, every quadrature
-call converges within its subdivision budget, and the closed form agrees with
-the fitted-Q quadrature it evaluates analytically."""
+returns a probability in [0, 1] or raises a package error, with no numpy
+warning on the way; every quadrature call converges within its subdivision
+budget, and the closed form agrees with the fitted-Q quadrature it evaluates
+analytically."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ris_sop import quadrature
@@ -65,6 +67,15 @@ configs = st.builds(
 @example(
     cfg=SystemConfig(n_elements=1, n_users=1, d_sr=1.0, d_rd=1.0, gamma0_db=100.0)
 )
+# rho * x and the Q fit's z * z overflowed to inf at the far nodes, and numpy
+# printed "overflow encountered in multiply" from all three quadratures.
+@example(
+    cfg=SystemConfig(
+        n_elements=153, n_users=7, d_sr=9854.5, d_rd=2.00001, d_re=304.2,
+        z0=87.7, upsilon=2.76, gamma0_db=145.8, r_th=1023.0,
+    )
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluators_return_a_probability_or_a_package_error(cfg):
     subdivisions = []  # one entry per quadrature call that converged
     original = integrate_semi_infinite

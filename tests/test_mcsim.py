@@ -99,8 +99,8 @@ class TestEstimateSop:
         # rounded formula gives ci_high = 1 - 2^-53 < sop_hat = 1 for 6,341
         # of these n and ci_low > 0 = sop_hat for 4,013 of them.
         for n in [*range(1, 20_001), 60_000, 61_000, 150_000, 300_000]:
-            full = _wilson(n, n, seed=0)
-            none = _wilson(0, n, seed=0)
+            full = _wilson(n, n)
+            none = _wilson(0, n)
             assert full.sop_hat == full.ci_high == 1.0, n
             assert none.sop_hat == none.ci_low == 0.0, n
             assert full.ci_low < 1.0 and none.ci_high > 0.0, n
