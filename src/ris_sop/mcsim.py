@@ -12,8 +12,10 @@ keyed by (seed, chunk-of-slots, link tag), so the outage count for a given
 the estimate or how many sweep points run alongside it.  One driver,
 :func:`_per_chunk`, runs every estimate: it validates the run, derives the
 model parameters once and calls a chunk kernel on each block of
-:data:`CHUNK_SLOTS` slots in block order.  The estimators only reduce its
-per-chunk results, so a new estimator inherits the contract unchanged.
+:data:`CHUNK_SLOTS` slots.  The chunks run in parallel on a thread pool
+that lives for the one call, and the driver returns their results in block
+order.  The estimators only reduce that list, so a new estimator inherits
+the contract unchanged.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,29 +119,55 @@ def _wilson(outages: int, trials: int) -> McEstimate:
 #     (or times a fresh gamma-distributed sum in independent mode).
 # The surface-to-user coefficients stay fully complex for the NOMA kernel
 # because the worst-user selection couples their amplitudes and phases.
+#
+# A kernel creates its chunk's generators once and reads them in pieces of
+# _PIECE_SLOTS slots, so its working set stays a few MB whatever the chunk
+# size.  Every quantity is per slot, and a Philox stream read piece after
+# piece yields the same values as one whole-chunk draw, so the pieces leave
+# every draw and every count bit-identical.
 # ---------------------------------------------------------------------------
 
+#: Slots per piece a kernel draws and reduces at a time.
+_PIECE_SLOTS = 2048
 
-def _eav_snr(p, g_sr_powers, seed, block, size, independent):
-    if independent:
-        s2 = p.zeta_sr * _rng(seed, block, _TAG_EAV_SR).standard_gamma(
-            g_sr_powers.shape[1], size=size
-        )
-    else:
-        s2 = p.zeta_sr * g_sr_powers.sum(axis=1)
-    e = _rng(seed, block, _TAG_EAV).standard_exponential(size)
-    return p.gamma0 * p.zeta_re * s2 * e
+
+def _pieces(size):
+    """Slot counts of the successive pieces of a ``size``-slot chunk."""
+    return (min(_PIECE_SLOTS, size - start) for start in range(0, size, _PIECE_SLOTS))
+
+
+def _eav_snr(p, seed, block, independent):
+    """The chunk's eavesdropper SNR as a function of each piece's
+    source-to-surface powers, reading the chunk's eavesdropper streams."""
+    eav = _rng(seed, block, _TAG_EAV)
+    eav_sr = _rng(seed, block, _TAG_EAV_SR) if independent else None
+
+    def snr(g_sr_powers):
+        size, n = g_sr_powers.shape
+        if independent:
+            s2 = p.zeta_sr * eav_sr.standard_gamma(n, size=size)
+        else:
+            s2 = p.zeta_sr * g_sr_powers.sum(axis=1)
+        return p.gamma0 * p.zeta_re * s2 * eav.standard_exponential(size)
+
+    return snr
 
 
 def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
     n, m = cfg.n_elements, cfg.n_users
-    g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
-    g_rd = _rng(seed, block, _TAG_DEST_RD).standard_exponential((size, n, m))
-    sums = np.matmul(np.sqrt(g_sr)[:, None, :], np.sqrt(g_rd))[:, 0, :]
-    best = sums.max(axis=1)
-    gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * best**2
-    gamma_e = _eav_snr(p, g_sr, seed, block, size, independent)
-    return int(np.count_nonzero(gamma_d < p.rho * gamma_e + p.offset))
+    sr, rd = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_DEST_RD)
+    eav_snr = _eav_snr(p, seed, block, independent)
+    outages = 0
+    for k in _pieces(size):
+        g_sr = sr.standard_exponential((k, n))
+        g_rd = rd.standard_exponential((k, n, m))
+        np.sqrt(g_rd, out=g_rd)
+        sums = np.matmul(np.sqrt(g_sr)[:, None, :], g_rd)[:, 0, :]
+        best = sums.max(axis=1)
+        gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * best**2
+        gamma_e = eav_snr(g_sr)
+        outages += int(np.count_nonzero(gamma_d < p.rho * gamma_e + p.offset))
+    return outages
 
 
 def _noma_chunk(cfg, p, seed, block, size, independent):
@@ -145,58 +175,90 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     # first, treating the strong user's signal as interference; the strong
     # user cancels it before decoding its own.
     n, m = cfg.n_elements, cfg.n_users
-    g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
-    sr_amp = np.sqrt(p.zeta_sr * g_sr)
-    z = _rng(seed, block, _TAG_DEST_RD).standard_normal((size, n, m, 2))
-    h_rd = (z[..., 0] + 1j * z[..., 1]) * math.sqrt(p.zeta_rd / 2.0)
-    sums = np.matmul(sr_amp[:, None, :], np.abs(h_rd))[:, 0, :]
-    bu = np.argmax(sums, axis=1)
-    rows = np.arange(size)
-    gamma_bu = p.gamma0 * sums[rows, bu] ** 2
-    h_bu = np.take_along_axis(h_rd, bu[:, None, None], axis=2)[:, :, 0]
-    rot = (np.conj(h_bu) / np.abs(h_bu)) * sr_amp
-    g_all = np.matmul(rot[:, None, :], h_rd)[:, 0, :]
-    gamma_all = p.gamma0 * np.abs(g_all) ** 2
-    gamma_all[rows, bu] = np.inf
-    wu = np.argmin(gamma_all, axis=1)
-    gamma_wu = gamma_all[rows, wu]
-    gamma_e = _eav_snr(p, g_sr, seed, block, size, independent)
-
+    sr, rd = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_DEST_RD)
+    eav_snr = _eav_snr(p, seed, block, independent)
     a = NOMA_A_BU
-    cs_bu = np.log2(1.0 + a * gamma_bu) - np.log2(1.0 + a * gamma_e)
-    cs_wu = np.log2(1.0 + (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)) - np.log2(
-        1.0 + (1.0 - a) * gamma_e / (a * gamma_e + 1.0)
-    )
-    bu_out = int(np.count_nonzero(np.maximum(cs_bu, 0.0) < cfg.r_th))
-    wu_out = int(np.count_nonzero(np.maximum(cs_wu, 0.0) < cfg.r_th))
-    # Full-power outcome of the same realizations: the opportunistic scheme
-    # on identical draws, for paired scheme comparisons.
-    ous_out = int(np.count_nonzero(gamma_bu < p.rho * gamma_e + p.offset))
+    bu_out = wu_out = ous_out = 0
+    for k in _pieces(size):
+        g_sr = sr.standard_exponential((k, n))
+        sr_amp = np.sqrt(p.zeta_sr * g_sr)
+        # The last axis holds (real, imaginary) pairs: view them as complex.
+        h_rd = rd.standard_normal((k, n, m, 2)).view(np.complex128)[..., 0]
+        h_rd *= math.sqrt(p.zeta_rd / 2.0)
+        sums = np.matmul(sr_amp[:, None, :], np.abs(h_rd))[:, 0, :]
+        bu = np.argmax(sums, axis=1)
+        rows = np.arange(k)
+        gamma_bu = p.gamma0 * sums[rows, bu] ** 2
+        h_bu = np.take_along_axis(h_rd, bu[:, None, None], axis=2)[:, :, 0]
+        rot = (np.conj(h_bu) / np.abs(h_bu)) * sr_amp
+        g_all = np.matmul(rot[:, None, :], h_rd)[:, 0, :]
+        gamma_all = p.gamma0 * np.abs(g_all) ** 2
+        gamma_all[rows, bu] = np.inf
+        wu = np.argmin(gamma_all, axis=1)
+        gamma_wu = gamma_all[rows, wu]
+        gamma_e = eav_snr(g_sr)
+
+        cs_bu = np.log2(1.0 + a * gamma_bu) - np.log2(1.0 + a * gamma_e)
+        cs_wu = np.log2(1.0 + (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)) - np.log2(
+            1.0 + (1.0 - a) * gamma_e / (a * gamma_e + 1.0)
+        )
+        bu_out += int(np.count_nonzero(np.maximum(cs_bu, 0.0) < cfg.r_th))
+        wu_out += int(np.count_nonzero(np.maximum(cs_wu, 0.0) < cfg.r_th))
+        # Full-power outcome of the same realizations: the opportunistic
+        # scheme on identical draws, for paired scheme comparisons.
+        ous_out += int(np.count_nonzero(gamma_bu < p.rho * gamma_e + p.offset))
     return bu_out, wu_out, ous_out
 
 
 def _gamma_e_chunk(cfg, p, seed, block, size, independent):
-    g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, cfg.n_elements))
-    return _eav_snr(p, g_sr, seed, block, size, independent)
+    sr = _rng(seed, block, _TAG_DEST_SR)
+    eav_snr = _eav_snr(p, seed, block, independent)
+    return np.concatenate(
+        [eav_snr(sr.standard_exponential((k, cfg.n_elements))) for k in _pieces(size)]
+    )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name, value):
+    _check_integer(name, value)
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 def _per_chunk(kernel, cfg, trials, seed, mode) -> list:
-    """``kernel``'s result on each chunk of a ``trials``-slot run, in block order."""
+    """``kernel``'s result on each chunk of a ``trials``-slot run, in block order.
+
+    The chunks run on a thread pool sized to the usable CPUs; numpy's draws,
+    ``sqrt`` and ``matmul`` release the GIL, so they run in parallel.  The
+    pool lives for this call only, so no thread outlives an estimate (a
+    forked child would inherit a module-level pool without its threads).
+    """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials)
+    _check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed}")
     p = derive_clt_params(cfg)
     independent = mode == "independent"
-    return [
-        kernel(cfg, p, seed, block, min(CHUNK_SLOTS, trials - start), independent)
-        for block, start in enumerate(range(0, trials, CHUNK_SLOTS))
-    ]
+    blocks = range(-(-trials // CHUNK_SLOTS))
+
+    def run(block):
+        size = min(CHUNK_SLOTS, trials - block * CHUNK_SLOTS)
+        return kernel(cfg, p, seed, block, size, independent)
+
+    with ThreadPoolExecutor(min(_usable_cpus(), len(blocks))) as pool:
+        return list(pool.map(run, blocks))
 
 
 def estimate_sop(
@@ -256,4 +318,5 @@ def sample_gamma_e(
     mode: str = "physical",
 ) -> np.ndarray:
     """Eavesdropper SNR samples as the estimator kernels generate them."""
+    _check_count("n_samples", n_samples)
     return np.concatenate(_per_chunk(_gamma_e_chunk, cfg, n_samples, seed, mode))

@@ -1,13 +1,25 @@
 import math
+import multiprocessing
+import sys
+import threading
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ris_sop import mcsim
 from ris_sop.errors import ContractError, DomainError
 from ris_sop.mcsim import (
+    _PIECE_SLOTS,
+    _TAG_DEST_RD,
+    _TAG_DEST_SR,
+    _TAG_EAV,
+    _TAG_EAV_SR,
+    CHUNK_SLOTS,
+    MODES,
     NOMA_A_BU,
+    _rng,
     _wilson,
     estimate_noma_pair,
     estimate_schemes_paired,
@@ -37,16 +49,16 @@ class TestSampling:
         assert abs(g.mean() - PARAMS.lambda_e) < 3 * se
 
     def test_eavesdropper_sampling_rejects_bad_arguments(self):
-        for n_samples in (0, -5):
-            with pytest.raises(DomainError):
+        for n_samples in (0, -5, 10.0, True):
+            with pytest.raises(DomainError, match="n_samples"):
                 sample_gamma_e(CFG, n_samples, seed=1)
         with pytest.raises(DomainError):
             sample_gamma_e(CFG, 10, seed=-1)
         with pytest.raises(DomainError):
             sample_gamma_e(CFG, 10, seed=1, mode="quantum")
-        for n_samples, seed in ((10.0, 1), (True, 1), (10, 1.5), (10, False)):
-            with pytest.raises(DomainError):
-                sample_gamma_e(CFG, n_samples, seed=seed)
+        for seed in (1.5, False):
+            with pytest.raises(DomainError, match="seed"):
+                sample_gamma_e(CFG, 10, seed=seed)
         assert sample_gamma_e(CFG, np.int64(10), seed=np.uint64(1)).size == 10
 
     def test_eavesdropper_goodness_of_fit(self):
@@ -178,6 +190,118 @@ class TestNomaEstimates:
             assert ests["NOMA_BU"].outages >= ests["OUS"].outages
             assert ests["NOMA_WU"].outages >= ests["NOMA_BU"].outages
             assert ests["NOMA_WU"].sop_hat >= 0.9
+
+
+class TestChunkPieces:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pieces_reproduce_whole_chunk_draws(self, mode):
+        independent = mode == "independent"
+        _, gamma_e = _whole_chunk_snrs(CFG, 40_000, 7, independent)
+        assert sample_gamma_e(CFG, 40_000, 7, mode).tobytes() == gamma_e.tobytes()
+        # Two full chunks, then a chunk that ends inside its second piece.
+        trials = 35_000
+        assert _PIECE_SLOTS < trials % CHUNK_SLOTS < 2 * _PIECE_SLOTS
+        gamma_d, gamma_e = _whole_chunk_snrs(CFG, trials, 7, independent)
+        outages = np.count_nonzero(gamma_d < PARAMS.rho * gamma_e + PARAMS.offset)
+        assert outages > 0
+        assert estimate_sop(CFG, "OUS", trials, 7, mode).outages == outages
+
+
+def _whole_chunk_snrs(cfg, slots, seed, independent):
+    """Per-slot OUS (gamma_d, gamma_e), each chunk's streams drawn in one call.
+
+    The kernels read every stream in pieces; this reference reads each
+    chunk's streams whole and applies the kernels' arithmetic, so the pieces
+    must reproduce it bit for bit.
+    """
+    p = derive_clt_params(cfg)
+    n, m = cfg.n_elements, cfg.n_users
+    parts = []
+    for block, start in enumerate(range(0, slots, CHUNK_SLOTS)):
+        size = min(CHUNK_SLOTS, slots - start)
+        g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
+        g_rd = _rng(seed, block, _TAG_DEST_RD).standard_exponential((size, n, m))
+        sums = np.matmul(np.sqrt(g_sr)[:, None, :], np.sqrt(g_rd))[:, 0, :]
+        gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * sums.max(axis=1) ** 2
+        if independent:
+            sr = _rng(seed, block, _TAG_EAV_SR).standard_gamma(n, size=size)
+            s2 = p.zeta_sr * sr
+        else:
+            s2 = p.zeta_sr * g_sr.sum(axis=1)
+        e = _rng(seed, block, _TAG_EAV).standard_exponential(size)
+        parts.append((gamma_d, p.gamma0 * p.zeta_re * s2 * e))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+class _KernelFailure(Exception):
+    pass
+
+
+def _estimate_in_child(queue):
+    queue.put(estimate_sop(CFG, "OUS", 2 * CHUNK_SLOTS, seed=5).outages)
+
+
+class TestThreadedDriver:
+    def test_kernel_exception_reaches_the_caller(self, monkeypatch):
+        kernel = mcsim._ous_chunk
+
+        def failing(cfg, p, seed, block, size, independent):
+            if block == 1:
+                raise _KernelFailure(block)
+            return kernel(cfg, p, seed, block, size, independent)
+
+        monkeypatch.setattr(mcsim, "_ous_chunk", failing)
+        with pytest.raises(_KernelFailure):
+            estimate_sop(CFG, "OUS", 3 * CHUNK_SLOTS, seed=1)
+
+    def test_concurrent_estimates_get_the_serial_result(self):
+        cfg = SystemConfig(n_elements=16, n_users=3, gamma0_db=10.0, r_th=0.05)
+        trials, seed = 40_000, 19
+        p = derive_clt_params(cfg)
+        serial = [
+            mcsim._noma_chunk(cfg, p, seed, block, min(CHUNK_SLOTS, trials - start), False)
+            for block, start in enumerate(range(0, trials, CHUNK_SLOTS))
+        ]
+        expected = dict(zip(("NOMA_BU", "NOMA_WU", "OUS"), map(sum, zip(*serial))))
+        results = [None, None]
+
+        def run(i):
+            est = estimate_schemes_paired(cfg, trials, seed)
+            results[i] = {scheme: e.outages for scheme, e in est.items()}
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected, expected]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_can_estimate(self):
+        # A pool kept between calls would be copied into the child without
+        # its threads, and the child's estimate would wait forever.
+        expected = estimate_sop(CFG, "OUS", 2 * CHUNK_SLOTS, seed=5).outages
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_estimate_in_child, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == expected
+        assert child.exitcode == 0
 
 
 def _bruteforce_snrs(cfg, slots, seed):
