@@ -18,12 +18,14 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError
-from .mcsim import SCHEMES, estimate_noma_pair, estimate_sop
+from .mcsim import SCHEMES, estimate_schemes_paired, estimate_sop
+from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
 
@@ -239,22 +241,22 @@ def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[Swee
     mc_results: dict[str, object] = {}
     errors: dict[str, list[str]] = {s: [] for s in spec.schemes}
     if "mc" in spec.evaluators:
-        if "OUS" in spec.schemes:
+        # One Monte Carlo pass per point.  The paired NOMA pass also counts
+        # the OUS outages on its own draws, so NOMA_BU >= OUS holds exactly
+        # in every row pair; the OUS estimator runs only when no NOMA scheme
+        # is asked for or the pass cannot run (M = 1 has no pair).
+        if spec.schemes != ("OUS",):
             try:
-                mc_results["OUS"] = estimate_sop(
-                    cfg, "OUS", spec.mc_trials, point_seed, mode="physical"
-                )
+                mc_results = estimate_schemes_paired(cfg, spec.mc_trials, point_seed)
             except Exception as exc:  # noqa: BLE001 - recorded per row
-                errors["OUS"].append(f"mc: {exc}")
-        if "NOMA_BU" in spec.schemes or "NOMA_WU" in spec.schemes:
-            try:
-                bu, wu = estimate_noma_pair(cfg, spec.mc_trials, point_seed)
-                mc_results["NOMA_BU"] = bu
-                mc_results["NOMA_WU"] = wu
-            except Exception as exc:  # noqa: BLE001
-                for s in ("NOMA_BU", "NOMA_WU"):
-                    if s in errors:
+                for s in spec.schemes:
+                    if s != "OUS":
                         errors[s].append(f"mc: {exc}")
+        if "OUS" in spec.schemes and not mc_results:
+            try:
+                mc_results["OUS"] = estimate_sop(cfg, "OUS", spec.mc_trials, point_seed)
+            except Exception as exc:  # noqa: BLE001
+                errors["OUS"].append(f"mc: {exc}")
 
     analytic_cols: dict[str, float] = {}
     if "OUS" in spec.schemes:
@@ -294,18 +296,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
 
     Per-row evaluator failures are recorded on the row and the sweep keeps
     going.  Results are deterministic for a given spec regardless of
-    ``workers``.
+    ``workers``.  An exception that escapes a point, Ctrl-C included, stops
+    the sweep once the points already running finish: ``map``'s iterator
+    cancels the queued ones.
     """
     points = list(_grid_points(spec))
+    evaluate = partial(_evaluate_point, spec)
     if workers <= 1:
-        nested = [_evaluate_point(spec, i, cfg) for i, cfg in enumerate(points)]
+        nested = list(map(evaluate, range(len(points)), points))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_evaluate_point, spec, i, cfg)
-                for i, cfg in enumerate(points)
-            ]
-            nested = [f.result() for f in futures]
+            nested = list(pool.map(evaluate, range(len(points)), points))
     return [row for group in nested for row in group]
 
 

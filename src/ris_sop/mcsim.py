@@ -202,8 +202,10 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
         cs_wu = np.log2(1.0 + (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)) - np.log2(
             1.0 + (1.0 - a) * gamma_e / (a * gamma_e + 1.0)
         )
-        bu_out += int(np.count_nonzero(np.maximum(cs_bu, 0.0) < cfg.r_th))
-        wu_out += int(np.count_nonzero(np.maximum(cs_wu, 0.0) < cfg.r_th))
+        # r_th > 0, so clamping a negative secrecy capacity to 0 would not
+        # change either comparison.
+        bu_out += int(np.count_nonzero(cs_bu < cfg.r_th))
+        wu_out += int(np.count_nonzero(cs_wu < cfg.r_th))
         # Full-power outcome of the same realizations: the opportunistic
         # scheme on identical draws, for paired scheme comparisons.
         ous_out += int(np.count_nonzero(gamma_bu < p.rho * gamma_e + p.offset))

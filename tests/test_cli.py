@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
-from ris_sop import cli
+from ris_sop import cli, mcsim
 from ris_sop.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -14,6 +15,7 @@ from ris_sop.cli import (
     run_sweep,
 )
 from ris_sop.errors import AccuracyError, ConfigError
+from ris_sop.mcsim import estimate_schemes_paired, estimate_sop
 from ris_sop.sysmodel import SystemConfig
 
 FAST = json.dumps(
@@ -129,6 +131,91 @@ class TestRunSweep:
         (row,) = run_sweep(spec)
         assert row.error is not None and "mc" in row.error
         assert row.sop_mc is None
+
+    def test_a_raising_point_cancels_the_queued_ones(self, monkeypatch):
+        # Ctrl-C arrives as an exception that escapes a point; the sweep
+        # must stop after the points already running, not run the grid out.
+        ran = []
+
+        def evaluate(spec, index, cfg):
+            ran.append(index)
+            if index == 0:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return []
+
+        monkeypatch.setattr(cli, "_evaluate_point", evaluate)
+        spec = parse_config(json.dumps({
+            "sweep": {"gamma0_db": list(map(float, range(40)))},
+            "evaluators": ["closed"],
+        }))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, workers=2)
+        assert len(ran) < 10
+
+
+#: One grid point per n_users value: M = 1 has no NOMA pair.
+PAIRED = {
+    "base": {"n_elements": 16, "gamma0_db": 10.0, "r_th": 0.1},
+    "sweep": {"n_users": [1, 2, 3]},
+    "evaluators": ["mc"],
+    "mc_trials": 3000,
+    "seed": 5,
+}
+
+
+class TestOnePassPerPoint:
+    @staticmethod
+    def _sweep(doc):
+        spec = parse_config(json.dumps(doc))
+        rows = run_sweep(spec)
+        per_point = len(spec.schemes)
+        for i, cfg in enumerate(cli._grid_points(spec)):
+            group = rows[i * per_point:(i + 1) * per_point]
+            yield spec, cli._mix_seed(spec.seed, i), cfg, {r.scheme: r for r in group}
+
+    @staticmethod
+    def _assert_row_is(row, est):
+        assert (row.sop_mc, row.sop_mc_ci_low, row.sop_mc_ci_high, row.mc_trials) == (
+            est.sop_hat, est.ci_low, est.ci_high, est.trials)
+
+    @pytest.mark.parametrize("schemes", [["OUS", "NOMA_BU", "NOMA_WU"],
+                                         ["OUS", "NOMA_BU"], ["OUS", "NOMA_WU"]])
+    def test_ous_row_comes_from_the_paired_pass(self, schemes):
+        for spec, seed, cfg, rows in self._sweep(dict(PAIRED, schemes=schemes)):
+            if cfg.n_users == 1:
+                self._assert_row_is(
+                    rows["OUS"], estimate_sop(cfg, "OUS", spec.mc_trials, seed))
+                for scheme in schemes[1:]:
+                    assert rows[scheme].sop_mc is None
+                    assert "NOMA pairing needs n_users >= 2" in rows[scheme].error
+                continue
+            paired = estimate_schemes_paired(cfg, spec.mc_trials, seed)
+            for scheme in schemes:
+                self._assert_row_is(rows[scheme], paired[scheme])
+                assert rows[scheme].error is None
+            if "NOMA_BU" in rows:
+                assert rows["NOMA_BU"].sop_mc >= rows["OUS"].sop_mc
+
+    def test_ous_only_sweep_uses_the_ous_estimator(self):
+        for spec, seed, cfg, rows in self._sweep(PAIRED):
+            self._assert_row_is(
+                rows["OUS"], estimate_sop(cfg, "OUS", spec.mc_trials, seed))
+
+    @pytest.mark.parametrize("schemes", [["OUS"], ["OUS", "NOMA_BU", "NOMA_WU"],
+                                         ["NOMA_WU"]])
+    def test_one_monte_carlo_pass_per_point(self, schemes, monkeypatch):
+        passes = []
+        real = mcsim._per_chunk
+
+        def counting(kernel, cfg, *args):
+            passes.append(cfg.n_users)
+            return real(kernel, cfg, *args)
+
+        monkeypatch.setattr(mcsim, "_per_chunk", counting)
+        list(self._sweep(dict(PAIRED, schemes=schemes, mc_trials=100)))
+        ran = [1, 2, 3] if "OUS" in schemes else [2, 3]
+        assert passes == ran
 
 
 class TestMain:
