@@ -121,19 +121,26 @@ def _wilson(outages: int, trials: int) -> McEstimate:
 # because the worst-user selection couples their amplitudes and phases.
 #
 # A kernel creates its chunk's generators once and reads them in pieces of
-# _PIECE_SLOTS slots, so its working set stays a few MB whatever the chunk
-# size.  Every quantity is per slot, and a Philox stream read piece after
-# piece yields the same values as one whole-chunk draw, so the pieces leave
-# every draw and every count bit-identical.
+# at most _PIECE_SLOTS slots whose largest array fits in _PIECE_BYTES, so
+# its working set stays a few MB whatever the chunk size, n_elements and
+# n_users.  Larger pieces also leave larger freed blocks in each thread's
+# malloc arena, and the peak RSS of a run then depends on which threads
+# happen to run which kernels.  Every quantity is per slot, and a Philox
+# stream read piece after piece yields the same values as one whole-chunk
+# draw, so the pieces leave every draw and every count bit-identical.
 # ---------------------------------------------------------------------------
 
-#: Slots per piece a kernel draws and reduces at a time.
+#: Most slots per piece a kernel draws and reduces at a time.
 _PIECE_SLOTS = 2048
+#: Most bytes in a piece's largest array.
+_PIECE_BYTES = 4 << 20
 
 
-def _pieces(size):
-    """Slot counts of the successive pieces of a ``size``-slot chunk."""
-    return (min(_PIECE_SLOTS, size - start) for start in range(0, size, _PIECE_SLOTS))
+def _pieces(size, slot_bytes):
+    """Slot counts of the successive pieces of a ``size``-slot chunk whose
+    largest array takes ``slot_bytes`` bytes per slot."""
+    step = max(1, min(_PIECE_SLOTS, _PIECE_BYTES // slot_bytes))
+    return (min(step, size - start) for start in range(0, size, step))
 
 
 def _eav_snr(p, seed, block, independent):
@@ -158,7 +165,7 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
     sr, rd = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_DEST_RD)
     eav_snr = _eav_snr(p, seed, block, independent)
     outages = 0
-    for k in _pieces(size):
+    for k in _pieces(size, 8 * n * m):  # g_rd
         g_sr = sr.standard_exponential((k, n))
         g_rd = rd.standard_exponential((k, n, m))
         np.sqrt(g_rd, out=g_rd)
@@ -179,7 +186,7 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     eav_snr = _eav_snr(p, seed, block, independent)
     a = NOMA_A_BU
     bu_out = wu_out = ous_out = 0
-    for k in _pieces(size):
+    for k in _pieces(size, 16 * n * m):  # complex h_rd
         g_sr = sr.standard_exponential((k, n))
         sr_amp = np.sqrt(p.zeta_sr * g_sr)
         # The last axis holds (real, imaginary) pairs: view them as complex.
@@ -216,7 +223,10 @@ def _gamma_e_chunk(cfg, p, seed, block, size, independent):
     sr = _rng(seed, block, _TAG_DEST_SR)
     eav_snr = _eav_snr(p, seed, block, independent)
     return np.concatenate(
-        [eav_snr(sr.standard_exponential((k, cfg.n_elements))) for k in _pieces(size)]
+        [
+            eav_snr(sr.standard_exponential((k, cfg.n_elements)))
+            for k in _pieces(size, 8 * cfg.n_elements)
+        ]
     )
 
 

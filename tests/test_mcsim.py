@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import stats
 from ris_sop import mcsim
 from ris_sop.errors import ContractError, DomainError
 from ris_sop.mcsim import (
+    _PIECE_BYTES,
     _PIECE_SLOTS,
     _TAG_DEST_RD,
     _TAG_DEST_SR,
@@ -205,6 +207,21 @@ class TestChunkPieces:
         outages = np.count_nonzero(gamma_d < PARAMS.rho * gamma_e + PARAMS.offset)
         assert outages > 0
         assert estimate_sop(CFG, "OUS", trials, 7, mode).outages == outages
+
+    @pytest.mark.parametrize("kernel", ["_ous_chunk", "_noma_chunk"])
+    @pytest.mark.parametrize("n_users", [3, 8])
+    def test_piece_working_set_is_capped(self, kernel, n_users):
+        # The per-piece arrays grow with n_elements * n_users; the byte cap
+        # keeps a kernel's peak allocation a few pieces' worth at any M.
+        cfg = SystemConfig(n_elements=64, n_users=n_users)
+        p = derive_clt_params(cfg)
+        tracemalloc.start()
+        try:
+            getattr(mcsim, kernel)(cfg, p, 7, 0, 4096, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _PIECE_BYTES
 
 
 def _whole_chunk_snrs(cfg, slots, seed, independent):
