@@ -118,12 +118,8 @@ def sop_asymptotic_closed(cfg: SystemConfig) -> float:
     the result is independent of the transmit SNR, the source-side path loss
     and the absolute node distances by construction.
     """
-    return _closed_from_ratio(
-        cfg.n_elements, cfg.n_users, rho_of(cfg.r_th), _gain_ratio(cfg)
-    )
-
-
-def _closed_from_ratio(n: int, m_users: int, rho: float, ratio: float) -> float:
+    n, m_users = cfg.n_elements, cfg.n_users
+    rho, ratio = rho_of(cfg.r_th), _gain_ratio(cfg)
     w = Q_APPROX.w
     p = Q_APPROX.p
     c = n * math.pi**2 * ratio / (16.0 * rho)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .sysmodel import SystemConfig
 
 AXES = ("gamma0_db", "n_elements", "n_users", "d_sr", "d_rd", "d_re", "r_th")
 EVALUATORS = ("closed", "asymptotic", "quad_exact", "quad_approx", "mc")
-_INT_FIELDS = {"n_elements", "n_users"}
 _MAX_GRID = 1_000_000
 #: Probabilities below quadrature/MC resolution are reported as exact zero.
 SOP_FLOOR = 1e-12
@@ -47,6 +47,13 @@ class SweepSpec:
     evaluators: tuple[str, ...]
     mc_trials: int
     seed: int
+
+    def __post_init__(self):
+        trials, seed = self.mc_trials, self.seed
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            raise ConfigError(f"mc_trials must be a positive integer, got {trials!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
     def to_json(self) -> str:
         """Canonical JSON form; parsing it back yields an equal spec."""
@@ -104,33 +111,6 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
-def _coerce(name: str, value):
-    if name in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(
-            f"{name}: a {value.bit_length()}-bit integer leaves the float64 range"
-        ) from None
-
-
-def _check_trials(value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"mc_trials must be a positive integer, got {value!r}")
-    return value
-
-
-def _check_seed(value):
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {value!r}")
-    return value
-
-
 def parse_config(document: str) -> SweepSpec:
     """Parse and validate a JSON sweep document, filling defaults.
 
@@ -169,21 +149,22 @@ def parse_config(document: str) -> SweepSpec:
         values = sweep_doc[name]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep axis {name!r} must be a non-empty list")
-        axes.append((name, tuple(_coerce(name, v) for v in values)))
+        axes.append((name, values))
         grid_size *= len(values)
     if grid_size > _MAX_GRID:
         raise ConfigError(f"grid has {grid_size} points, cap is {_MAX_GRID}")
     where = "base configuration"
     try:
-        base = SystemConfig(
-            **{k: _coerce(k, v) for k, v in base_doc.items()}
-        )
+        base = SystemConfig(**base_doc)
         # Every SystemConfig check is per field, so checking each axis value
-        # alone against the base checks every grid point.
-        for name, values in axes:
+        # alone against the base checks every grid point; the checked config
+        # hands back the value as stored (a float field as float).
+        for i, (name, values) in enumerate(axes):
+            checked = []
             for value in values:
-                where = f"sweep axis {name!r} value {value!r}"
-                dataclasses.replace(base, **{name: value})
+                where = f"sweep axis {name!r} value {reprlib.repr(value)}"
+                checked.append(getattr(dataclasses.replace(base, **{name: value}), name))
+            axes[i] = (name, tuple(checked))
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
     axes = axes or [("gamma0_db", (base.gamma0_db,))]
@@ -209,8 +190,8 @@ def parse_config(document: str) -> SweepSpec:
         axes=tuple(axes),
         schemes=schemes,
         evaluators=evaluators,
-        mc_trials=_check_trials(doc.get("mc_trials", 100_000)),
-        seed=_check_seed(doc.get("seed", 1)),
+        mc_trials=doc.get("mc_trials", 100_000),
+        seed=doc.get("seed", 1),
     )
 
 
@@ -413,11 +394,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _load_spec(args.config)
-        if args.command == "sweep" and args.trials is not None:
-            spec = dataclasses.replace(spec, mc_trials=_check_trials(args.trials))
-        if args.command == "sweep" and args.seed is not None:
-            spec = dataclasses.replace(spec, seed=_check_seed(args.seed))
         if args.command == "sweep":
+            overrides = {"mc_trials": args.trials, "seed": args.seed}
+            spec = dataclasses.replace(
+                spec, **{k: v for k, v in overrides.items() if v is not None}
+            )
             # Fail before the grid runs, not after; append mode truncates
             # nothing, so an existing file keeps its contents until then.
             open(args.out, "a", encoding="utf-8").close()

@@ -6,13 +6,18 @@ a passive eavesdropper listens.  All links are Rayleigh with log-distance
 path loss.  Every other module consumes only the derived linear-domain
 statistics collected in :class:`CltParams`; dB values appear at this
 configuration boundary and nowhere else.
+
+:class:`SystemConfig` is the one check of a configuration, for JSON documents
+and Python callers alike: a value of the wrong type, past the float64 range,
+non-finite or out of bounds raises DomainError naming its field.  The
+float fields are stored as ``float`` and the integer fields as ``int``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .specfun import log_q
@@ -38,20 +43,26 @@ class SystemConfig:
     r_th: float = 1.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-        for name in ("n_elements", "n_users"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        # Stored as plain int/float, a config built from 45 or np.int64(64)
+        # equals, and writes the same CSV as, the one parsed from JSON.
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            is_int = field.type == "int"
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if is_int else numbers.Real
+            ):
+                kind = "an integer" if is_int else "a number"
+                raise DomainError(f"{name} must be {kind}, got {value!r}")
             try:
-                float(value)  # as the derived statistics convert it
+                as_float = float(value)  # as the derived statistics convert it
             except OverflowError:
                 bits = int(value).bit_length()
                 raise DomainError(
                     f"{name}: a {bits}-bit integer leaves the float64 range"
                 ) from None
+            if not math.isfinite(as_float):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, int(value) if is_int else as_float)
         if self.n_elements < 1:
             raise DomainError(f"n_elements must be >= 1, got {self.n_elements}")
         if self.n_users < 1:

@@ -62,6 +62,35 @@ class TestParseConfig:
         spec = parse_config(FAST)
         assert parse_config(spec.to_json()) == spec
 
+    def test_hand_built_spec_writes_the_json_routes_csv(self):
+        doc = parse_config('{"base": {"d_sr": 45}, "evaluators": ["closed"]}')
+        by_hand = SweepSpec(
+            base=SystemConfig(d_sr=45),
+            axes=(("gamma0_db", (20.0,)),),
+            schemes=("OUS",),
+            evaluators=("closed",),
+            mc_trials=100_000,
+            seed=1,
+        )
+        assert emit_csv(run_sweep(by_hand)) == emit_csv(run_sweep(doc))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mc_trials": 0}, "mc_trials must be a positive integer, got 0"),
+            ({"seed": 2**64}, "seed must be an integer in [0, 2^64), got %d" % 2**64),
+        ],
+    )
+    def test_every_spec_checks_trials_and_seed(self, change, message):
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(parse_config("{}"), **change)
+        assert str(info.value) == message
+
+    def test_axis_values_are_stored_as_the_fields_type(self):
+        spec = parse_config('{"sweep": {"d_re": [30, 31.5], "n_users": [2]}}')
+        assert spec.axes == (("n_users", (2,)), ("d_re", (30.0, 31.5)))
+        assert type(spec.axes[1][1][0]) is float
+
     def test_grid_cap(self):
         doc = {"sweep": {"gamma0_db": list(map(float, range(1001))),
                          "n_elements": list(range(1, 1002))}}
@@ -280,7 +309,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "document, message",
         [
-            ('{"sweep": {"d_re": [30, -5]}}', "sweep axis 'd_re' value -5.0"),
+            ('{"sweep": {"d_re": [30, -5]}}', "sweep axis 'd_re' value -5"),
             ('{"sweep": {"gamma0_db": [0, NaN]}}', "sweep axis 'gamma0_db' value nan"),
             ('{"sweep": {"d_rd": [Infinity]}}', "d_rd must be finite, got inf"),
             ('{"sweep": {"r_th": [-Infinity]}}', "r_th must be finite, got -inf"),

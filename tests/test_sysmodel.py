@@ -159,11 +159,36 @@ class TestSystemConfigValidation:
             {"n_users": True},
             {"n_elements": 10**400},
             {"n_users": 2**1024 - 1},  # rounds up to 2^1024 as a float
+            {"d_sr": True},
+            {"d_rd": "45"},
+            {"gamma0_db": None},
+            {"z0": 10**400},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"z0": 10**400}, "z0: a 1329-bit integer leaves the float64 range"),
+            ({"d_sr": True}, "d_sr must be a number, got True"),
+            ({"gamma0_db": None}, "gamma0_db must be a number, got None"),
+            ({"d_sr": "45"}, "d_sr must be a number, got '45'"),
+            ({"n_users": 3.0}, "n_users must be an integer, got 3.0"),
+        ],
+    )
+    def test_type_and_range_errors_name_the_field(self, kwargs, message):
+        with pytest.raises(DomainError) as info:
+            SystemConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_stores_each_field_as_its_declared_type(self):
+        cfg = SystemConfig(n_elements=np.int64(64), d_sr=45, gamma0_db=np.float32(20))
+        assert type(SystemConfig(d_sr=45).d_sr) is float
+        assert type(cfg.n_elements) is int and type(cfg.gamma0_db) is float
+        assert cfg == SystemConfig()
 
     def test_accepts_numpy_integers(self):
         cfg = SystemConfig(n_elements=np.int64(64), n_users=np.int32(3))
