@@ -8,6 +8,8 @@ that certify the closed form at the configured grid points.
 All state flows through the config document (environment variables are
 deliberately not consulted), and a sweep's CSV output is byte-identical for
 a given spec and seed irrespective of worker count.
+
+An analytic evaluator is one ``ROUTES`` entry plus one ``SweepRow`` column.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
 
 AXES = ("gamma0_db", "n_elements", "n_users", "d_sr", "d_rd", "d_re", "r_th")
-EVALUATORS = ("closed", "asymptotic", "quad_exact", "quad_approx", "mc")
+#: Analytic evaluator -> (CSV column, sop(cfg)).  Each entry looks its
+#: function up in this module at call time, so a patched name is seen.
+ROUTES = {
+    "closed": ("sop_closed", lambda cfg: sop_closed_form(cfg).value),
+    "asymptotic": ("sop_asym", lambda cfg: sop_asymptotic(cfg).sop_simplified),
+    "quad_exact": ("sop_quad_exact", lambda cfg: sop_quad_exact_q(cfg).value),
+    "quad_approx": ("sop_quad_approx", lambda cfg: sop_quad_approx_q(cfg).value),
+}
+EVALUATORS = (*ROUTES, "mc")
 _MAX_GRID = 1_000_000
 #: Probabilities below quadrature/MC resolution are reported as exact zero.
 SOP_FLOOR = 1e-12
@@ -39,7 +49,8 @@ SOP_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep description: base point, axes, schemes, evaluators."""
+    """Validated sweep description; every spec, hand-built or parsed, checks its
+    fields and stores its schemes and evaluators in canonical order."""
 
     base: SystemConfig
     axes: tuple[tuple[str, tuple], ...]
@@ -49,6 +60,15 @@ class SweepSpec:
     seed: int
 
     def __post_init__(self):
+        for field, known in (("schemes", SCHEMES), ("evaluators", EVALUATORS)):
+            given = getattr(self, field)
+            if not isinstance(given, (list, tuple)) or not given:
+                raise ConfigError(f"{field!r} must be a non-empty list")
+            for name in given:  # `in` a tuple: an unhashable name is unknown
+                if name not in known:
+                    what = f"unknown {field[:-1]} {name!r}"
+                    raise ConfigError(f"{what}; expected subset of {known}")
+            object.__setattr__(self, field, tuple(n for n in known if n in given))
         trials, seed = self.mc_trials, self.seed
         if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
             raise ConfigError(f"mc_trials must be a positive integer, got {trials!r}")
@@ -168,28 +188,11 @@ def parse_config(document: str) -> SweepSpec:
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
     axes = axes or [("gamma0_db", (base.gamma0_db,))]
-
-    schemes_doc = doc.get("schemes", ["OUS"])
-    if not isinstance(schemes_doc, list) or not schemes_doc:
-        raise ConfigError("'schemes' must be a non-empty list")
-    for s in schemes_doc:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}; expected subset of {SCHEMES}")
-    schemes = tuple(s for s in SCHEMES if s in schemes_doc)
-
-    evals_doc = doc.get("evaluators", list(EVALUATORS))
-    if not isinstance(evals_doc, list) or not evals_doc:
-        raise ConfigError("'evaluators' must be a non-empty list")
-    for e in evals_doc:
-        if e not in EVALUATORS:
-            raise ConfigError(f"unknown evaluator {e!r}; expected subset of {EVALUATORS}")
-    evaluators = tuple(e for e in EVALUATORS if e in evals_doc)
-
     return SweepSpec(
         base=base,
         axes=tuple(axes),
-        schemes=schemes,
-        evaluators=evaluators,
+        schemes=doc.get("schemes", ["OUS"]),
+        evaluators=doc.get("evaluators", EVALUATORS),
         mc_trials=doc.get("mc_trials", 100_000),
         seed=doc.get("seed", 1),
     )
@@ -241,16 +244,12 @@ def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[Swee
 
     analytic_cols: dict[str, float] = {}
     if "OUS" in spec.schemes:
-        for name, column, fn in (
-            ("closed", "sop_closed", lambda: sop_closed_form(cfg).value),
-            ("asymptotic", "sop_asym", lambda: sop_asymptotic(cfg).sop_simplified),
-            ("quad_exact", "sop_quad_exact", lambda: sop_quad_exact_q(cfg).value),
-            ("quad_approx", "sop_quad_approx", lambda: sop_quad_approx_q(cfg).value),
-        ):
-            if name not in spec.evaluators:
+        for name in spec.evaluators:
+            if name == "mc":
                 continue
+            column, sop = ROUTES[name]
             try:
-                analytic_cols[column] = _floor(fn())
+                analytic_cols[column] = _floor(sop(cfg))
             except Exception as exc:  # noqa: BLE001
                 errors["OUS"].append(f"{name}: {exc}")
 
@@ -327,6 +326,16 @@ def parse_csv(text: str) -> list[SweepRow]:
     return rows
 
 
+#: Oracle tiers, (route, reference, agrees(value, ref)): closed form vs fitted-Q
+#: quadrature; fitted vs exact Q only where exact >= 1e-5 (a NaN exact: skipped).
+_ORACLE_CHECKS = (
+    ("closed", "quad_approx", lambda v, ref: abs(v - ref) <= 1e-6 * abs(ref) + 1e-15),
+    ("quad_approx", "quad_exact",
+     lambda v, ref: not ref >= 1e-5 or abs(v - ref) / ref <= 0.05),
+)
+_ORACLE_ROUTES = tuple(dict.fromkeys(name for c in _ORACLE_CHECKS for name in c[:2]))
+
+
 def _run_oracle(spec: SweepSpec, out=None) -> int:
     """Two-tier cross-check: closed form vs both quadrature routes.
 
@@ -341,28 +350,18 @@ def _run_oracle(spec: SweepSpec, out=None) -> int:
             f"M={cfg.n_users}"
         )
         try:
-            closed = sop_closed_form(cfg).value
-            approx = sop_quad_approx_q(cfg).value
-            exact = sop_quad_exact_q(cfg).value
+            values = {name: ROUTES[name][1](cfg) for name in _ORACLE_ROUTES}
         except PACKAGE_ERRORS as exc:
             failures += 1
             print(f"{where}: {type(exc).__name__}: {exc} -> FAIL", file=out)
             continue
-        tier_a = abs(closed - approx) <= 1e-6 * abs(approx) + 1e-15
-        tier_b = True
-        if exact >= 1e-5:
-            tier_b = abs(approx - exact) / exact <= 0.05
-        ok = tier_a and tier_b
+        ok = all(agrees(values[route], values[ref])
+                 for route, ref, agrees in _ORACLE_CHECKS)
         failures += 0 if ok else 1
-        print(
-            f"{where}: closed={closed:.6e} quad_approx={approx:.6e} "
-            f"quad_exact={exact:.6e} -> {'PASS' if ok else 'FAIL'}",
-            file=out,
-        )
-    print(
-        f"oracle: {'PASS' if failures == 0 else f'FAIL ({failures} points)'}",
-        file=out,
-    )
+        shown = " ".join(f"{name}={value:.6e}" for name, value in values.items())
+        print(f"{where}: {shown} -> {'PASS' if ok else 'FAIL'}", file=out)
+    verdict = "PASS" if failures == 0 else f"FAIL ({failures} points)"
+    print(f"oracle: {verdict}", file=out)
     return 0 if failures == 0 else 1
 
 

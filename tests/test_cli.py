@@ -7,6 +7,7 @@ import pytest
 from ris_sop import cli, mcsim
 from ris_sop.cli import (
     CSV_HEADER,
+    EVALUATORS,
     SweepSpec,
     emit_csv,
     main,
@@ -15,7 +16,7 @@ from ris_sop.cli import (
     run_sweep,
 )
 from ris_sop.errors import AccuracyError, ConfigError
-from ris_sop.mcsim import estimate_schemes_paired, estimate_sop
+from ris_sop.mcsim import SCHEMES, estimate_schemes_paired, estimate_sop
 from ris_sop.sysmodel import SystemConfig
 
 FAST = json.dumps(
@@ -79,12 +80,25 @@ class TestParseConfig:
         [
             ({"mc_trials": 0}, "mc_trials must be a positive integer, got 0"),
             ({"seed": 2**64}, "seed must be an integer in [0, 2^64), got %d" % 2**64),
+            ({"evaluators": ("clsoed",)},
+             f"unknown evaluator 'clsoed'; expected subset of {EVALUATORS}"),
+            ({"schemes": ("NOMA_XX",)},
+             f"unknown scheme 'NOMA_XX'; expected subset of {SCHEMES}"),
+            ({"evaluators": ()}, "'evaluators' must be a non-empty list"),
+            ({"schemes": "OUS"}, "'schemes' must be a non-empty list"),
         ],
     )
     def test_every_spec_checks_trials_and_seed(self, change, message):
         with pytest.raises(ConfigError) as info:
             dataclasses.replace(parse_config("{}"), **change)
         assert str(info.value) == message
+
+    def test_every_spec_stores_schemes_and_evaluators_in_canonical_order(self):
+        spec = dataclasses.replace(
+            parse_config("{}"), schemes=["NOMA_WU", "OUS"], evaluators=("mc", "closed")
+        )
+        assert spec.schemes == ("OUS", "NOMA_WU")
+        assert spec.evaluators == ("closed", "mc")
 
     def test_axis_values_are_stored_as_the_fields_type(self):
         spec = parse_config('{"sweep": {"d_re": [30, 31.5], "n_users": [2]}}')
@@ -326,11 +340,13 @@ class TestMain:
             ('{"sweep": {"n_users": [3, %s]}}' % (10**400),
              "n_users: a 1329-bit integer leaves the float64 range"),
             ('{"base": {"d_re": %s}}' % ("1" * 5000), "malformed JSON"),
+            ('{"evaluators": [[1]]}', "unknown evaluator [1]"),
+            ('{"schemes": [{}]}', "unknown scheme {}"),
         ],
         ids=["axis-negative", "axis-nan", "axis-inf", "axis-minus-inf",
              "base-nan", "base-inf", "base-minus-inf", "base-huge-float-field",
              "axis-huge-float-field", "base-huge-int-field", "axis-huge-int-field",
-             "digit-limit"],
+             "digit-limit", "evaluator-unhashable", "scheme-unhashable"],
     )
     def test_every_subcommand_rejects_bad_values(
         self, tmp_path, capsys, document, message
