@@ -8,9 +8,13 @@ and recombined through :func:`ris_sop.specfun.exp_times_q`; a naive
 evaluation overflows long before the interesting operating points.
 
 The outer integral splits where the Q-function argument changes sign, so
-that a small SOP is never ``1 - total`` with ``total`` near 1.  Each
-composition's full-range and tail terms share their constants, so
-:func:`order_sums` evaluates both in one pass over the compositions.
+that a small SOP is never ``1 - total`` with ``total`` near 1.  The terms
+of every composition of the orders 1..M are one numpy array pass (once per
+distinct sum_i k_i p_i, see :func:`ris_sop.specfun.compositions`), full
+range and tail side by side, reduced order by order left to right.  Each
+step applies the scalar expression elementwise in its original order, with
+libm ``pow`` and ``exp`` where numpy's vector loops round differently, so
+the sums are bit for bit those of a scalar loop over the compositions.
 
 The terms and order sums read the outage threshold's offset from
 ``CltParams.offset``, ``rho - 1`` as derived.  At offset 0 they are the
@@ -23,10 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, ContractError, EvaluationError
+import numpy as np
+
+from .errors import CapacityError, ContractError, DomainError, EvaluationError
 from .specfun import (
-    ORDER_CAP, MultinomialTerm, exp_times_q, multinomial_set, signed_binom,
+    ORDER_CAP, MultinomialTerm, check_order, compositions, exp_times_q, signed_binom,
 )
+from .specfun import multinomial_set  # noqa: F401 - bench/tracing.py wraps this name
 from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -44,43 +51,77 @@ class SopResult:
     clamp_amount: float
 
 
-def _require_finite(value: float, label: str, k: MultinomialTerm) -> float:
-    if not math.isfinite(value):
-        raise EvaluationError(f"{label} lost finiteness for k={k.k}: got {value}")
-    return value
+# The two term legs, named as their errors name them: J+ over [0, inf) and
+# I+ over [alpha, inf).
+_J, _I = "j_plus_term", "i_plus_term"
 
 
-def _terms(k: MultinomialTerm, params: CltParams, tail: bool) -> tuple[float, float]:
-    """Full-range term J+ and tail term I+ of composition ``k``.
+def _terms(p_dot_k: np.ndarray, params: CltParams, legs) -> np.ndarray:
+    """Terms at each composition weight sum_i k_i p_i in ``p_dot_k``, one row
+    per leg named in ``legs``.
 
-    J+ is (1/2) * integral over x in [0, inf) of exp(-chi_k(x)^2 / 2) *
-    exppdf(x), chi_k the composition-scaled Q argument at threshold
-    ``rho * x + params.offset``; I+ is the same over [alpha, inf), evaluated
-    only with ``tail`` (alpha > 0) and otherwise returned as J+.  Both share
-    ``s2`` = sigma_d^2 / (sum_i k_i p_i), ``ups`` = 1/(2 s2) + gamma0 /
-    (rho lambda_e), the prefactor, the exponent ``a`` and its coefficient.
+    Leg "j_plus_term" is J+, (1/2) * integral over x in [0, inf) of
+    exp(-chi_k(x)^2 / 2) * exppdf(x), chi_k the composition-scaled Q argument
+    at threshold ``rho * x + params.offset``; leg "i_plus_term" is I+, the
+    same over [alpha, inf), meaningful for alpha > 0.  Both share ``s2`` =
+    sigma_d^2 / (sum_i k_i p_i), ``ups`` = 1/(2 s2) + gamma0 / (rho
+    lambda_e), the prefactor, the exponent ``a`` and its coefficient.
     """
     mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
-    # Squared from its root, not divided alone: sweeps reproduce bit for bit.
-    s2 = math.sqrt(params.sigma2_d / k.p_dot_k) ** 2
-    ups = 1.0 / (2.0 * s2) + g0 / (rho * lam)
-    pref = g0 / (2.0 * rho * lam * ups)
-    a = params.offset / (rho * lam) - mu**2 * g0 / (2.0 * s2 * rho * lam * ups)
-    coeff = mu * _SQRT_PI / (s2 * math.sqrt(ups))
-    u0 = math.sqrt(params.offset / g0)
-    t1 = math.exp(-((u0 - mu) ** 2) / (2.0 * s2))
-    b = math.sqrt(2.0 * ups) * (u0 - mu / (2.0 * s2 * ups))
-    j = _require_finite(pref * (t1 + coeff * exp_times_q(a, b)), "j_plus_term", k)
-    if not tail:
-        return j, j
-    t1 = math.exp(-(mu**2 * g0 - params.offset) / (rho * lam))
-    b = math.sqrt(2.0) * mu * g0 / (rho * lam * math.sqrt(ups))
-    return j, _require_finite(pref * (t1 + coeff * exp_times_q(a, b)), "i_plus_term", k)
+    # Each step is the scalar expression applied elementwise, in the same
+    # order, so every term keeps the bits of a scalar evaluation, and fails
+    # as Python floats do: overflow to inf and NaN are silent (the caller's
+    # finiteness check reports a lost term), a zero divisor raises.
+    # exp_times_q stays outside, with numpy's own warnings.
+    try:
+        with np.errstate(all="ignore", divide="raise"):
+            # Squared from its root by libm pow, as Python's ``**`` squares;
+            # the last bits of x * x differ.  Sweeps reproduce bit for bit.
+            s2 = np.float_power(np.sqrt(params.sigma2_d / p_dot_k), 2.0)
+            two_s2 = 2.0 * s2
+            ups = 1.0 / two_s2 + g0 / (rho * lam)
+            root_ups = np.sqrt(ups)
+            pref = g0 / (2.0 * rho * lam * ups)
+            a = params.offset / (rho * lam) - mu**2 * g0 / (two_s2 * rho * lam * ups)
+            coeff = mu * _SQRT_PI / (s2 * root_ups)
+            t1, b = [], []
+            if _J in legs:
+                u0 = math.sqrt(params.offset / g0)
+                # libm exp per element: numpy's vector exp differs in last bits.
+                t1.append([*map(math.exp, (-((u0 - mu) ** 2) / two_s2).tolist())])
+                b.append(np.sqrt(2.0 * ups) * (u0 - mu / (two_s2 * ups)))
+            if _I in legs:
+                t1_tail = math.exp(-(mu**2 * g0 - params.offset) / (rho * lam))
+                t1.append([t1_tail] * len(s2))
+                b.append(math.sqrt(2.0) * mu * g0 / (rho * lam * root_ups))
+    except FloatingPointError:
+        raise ZeroDivisionError("float division by zero") from None
+    etq = exp_times_q(a, np.array(b))
+    with np.errstate(all="ignore"):
+        return pref * (np.array(t1) + coeff * etq)
+
+
+def _require_finite(terms: np.ndarray, ks, legs) -> None:
+    """EvaluationError for the first composition with a term that is not
+    finite, J+ before I+ within one."""
+    finite = np.isfinite(terms)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(np.argmin(finite.all(axis=0)))
+        leg = int(np.argmin(finite[:, i]))
+        raise EvaluationError(
+            f"{legs[leg]} lost finiteness for k={ks[i]}: got {float(terms[leg, i])}"
+        )
+
+
+def _one_term(p_dot_k: float, k: tuple[int, int, int], params: CltParams, legs) -> float:
+    terms = _terms(np.array([p_dot_k]), params, legs)
+    _require_finite(terms, (k,), legs)
+    return float(terms[-1, 0])
 
 
 def j_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     """Single multinomial term of the full-range outage integral J+."""
-    return _terms(k, params, tail=False)[0]
+    return _one_term(k.p_dot_k, k.k, params, (_J,))
 
 
 def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
@@ -92,7 +133,45 @@ def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     alpha = params.branch_point()
     if alpha <= 0:
         raise ContractError(f"i_plus_term requires alpha > 0, got alpha={alpha}")
-    return _terms(k, params, tail=True)[1]
+    return _one_term(k.p_dot_k, k.k, params, (_J, _I))
+
+
+def _order_sums(params: CltParams, orders: range) -> tuple[list[float], list[float]]:
+    """(J+(m), T(m)) for each order m in ``orders``, from one array pass.
+
+    T(m) is I+(m) when alpha > 0, else J+(m) itself.  The terms are
+    evaluated once per distinct sum_i k_i p_i of the compositions and spread
+    to them; each order's sum then runs left to right in composition order
+    (``np.sum`` would pair terms and move last bits).
+    """
+    check_order(orders.start)
+    check_order(orders[-1])
+    legs = (_J, _I) if params.branch_point() > 0 else (_J,)
+    table = compositions()
+    bounds = table.starts[orders.start - 1:orders.stop]
+    lo, hi = bounds[0], bounds[-1]
+    if lo:  # past order 1, only some of the values up to order M
+        used, index = np.unique(table.p_index[lo:hi], return_inverse=True)
+        p_dot_k = table.p_values[used]
+    else:  # orders 1..M take the first values
+        index = table.p_index[:hi]
+        p_dot_k = table.p_values[:index.max() + 1]
+    try:
+        terms = _terms(p_dot_k, params, legs)[:, index]
+    except (ZeroDivisionError, DomainError):
+        # Raise what a loop over the compositions raises: the first one to
+        # fail, its J+ before its I+, a zero divisor or NaN Q argument
+        # before a term that is not finite.
+        for i in range(lo, hi):
+            for n in range(1, len(legs) + 1):
+                _one_term(table.p_values[table.p_index[i]], table.k[i], params, legs[:n])
+        raise
+    _require_finite(terms, table.k[lo:hi], legs)
+    weighted = table.weight[lo:hi] * terms
+    sums = np.empty((len(legs), len(orders)))
+    for col, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        sums[:, col] = np.add.accumulate(weighted[:, start - lo:stop - lo], axis=1)[:, -1]
+    return sums[0].tolist(), sums[-1].tolist()
 
 
 def order_sums(m: int, params: CltParams) -> tuple[float, float]:
@@ -101,14 +180,14 @@ def order_sums(m: int, params: CltParams) -> tuple[float, float]:
     J+(m) runs over [0, inf) and T(m) over [max(alpha, 0), inf): I+(m) when
     alpha > 0, else J+(m).  Both sum left to right in composition order.
     """
-    tail = params.branch_point() > 0
-    j_sum = t_sum = 0.0
-    for k in multinomial_set(m):
-        j, t = _terms(k, params, tail)
-        weight = k.coef * k.weight_product
-        j_sum += weight * j
-        t_sum += weight * t
-    return j_sum, t_sum
+    (j,), (t,) = _order_sums(params, range(m, m + 1))
+    return j, t
+
+
+def order_sums_upto(m_users: int, params: CltParams) -> tuple[list[float], list[float]]:
+    """[J+(m)] and [T(m)] for m = 1..m_users, as :func:`order_sums` gives
+    them, from one array pass over all their compositions."""
+    return _order_sums(params, range(1, m_users + 1))
 
 
 def sop_closed_form(cfg: SystemConfig) -> SopResult:
@@ -127,13 +206,13 @@ def sop_closed_form(cfg: SystemConfig) -> SopResult:
         )
     xi, xi_c = params.xi, params.xi_complement()
     orders = range(1, m_users + 1)
-    sums = [order_sums(m, params) for m in orders]
+    js, ts = order_sums_upto(m_users, params)
     tail_mass = max(params.branch_point(), 0.0) / params.lambda_e
     head = xi_c**m_users * -math.expm1(-tail_mass) + sum(
         math.comb(m_users, m) * xi_c ** (m_users - m) * xi**m * (j - t)
-        for m, (j, t) in zip(orders, sums)
+        for m, j, t in zip(orders, js, ts)
     )
-    tail = sum(signed_binom(m_users, m) * xi**m * t for m, (_, t) in zip(orders, sums))
+    tail = sum(signed_binom(m_users, m) * xi**m * t for m, t in zip(orders, ts))
     raw = head + (math.exp(-tail_mass) - tail)
     value = min(1.0, max(0.0, raw))
     return SopResult(value=value, clamp_amount=abs(value - raw))

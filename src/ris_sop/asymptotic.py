@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import i_plus_term, j_plus_term, order_sums
+from .analytic import i_plus_term, j_plus_term, order_sums_upto
 from .errors import DomainError
 from .specfun import Q_APPROX, MultinomialTerm, multinomial_set, signed_binom
 from .specfun import exp_times_q  # noqa: F401 - bench/tracing.py wraps this name
@@ -96,10 +96,11 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
     m_users = cfg.n_users
     c = cfg.n_elements * math.pi**2 * _gain_ratio(cfg) / (16.0 * params.rho)
     p1 = -math.expm1(-c)
-    sums = [order_sums(m, params) for m in range(1, m_users + 1)]
-    p3 = sum(signed_binom(m_users, m) * t for m, (_, t) in enumerate(sums, 1))
-    j_top, t_top = sums[-1]
-    p2 = t_top - j_top
+    # J+(m) below M is unused, but it rides in T's array pass: a separate
+    # pass for J+(M) alone costs more than these elements.
+    js, ts = order_sums_upto(m_users, params)
+    p3 = sum(signed_binom(m_users, m) * t for m, t in enumerate(ts, 1))
+    p2 = ts[-1] - js[-1]
     # Rounding can leave an underflowed level a few subnormals below 0.
     sop_simplified = max(math.exp(-c) - p3, 0.0)
     return AsymptoticBreakdown(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import reprlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +51,13 @@ SOP_FLOOR = 1e-12
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated sweep description; every spec, hand-built or parsed, checks its
-    fields and stores its schemes and evaluators in canonical order."""
+    fields and stores its axes, schemes and evaluators in canonical order.
+
+    ``axes`` holds (name, values) pairs over distinct ``AXES`` names, each
+    with a non-empty list of values that ``base`` accepts; a value is stored
+    as the field stores it (a float field as float).  No axes sweeps the base
+    point alone, stored as a one-value ``gamma0_db`` axis.
+    """
 
     base: SystemConfig
     axes: tuple[tuple[str, tuple], ...]
@@ -60,6 +67,7 @@ class SweepSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "axes", self._checked_axes())
         for field, known in (("schemes", SCHEMES), ("evaluators", EVALUATORS)):
             given = getattr(self, field)
             if not isinstance(given, (list, tuple)) or not given:
@@ -74,6 +82,37 @@ class SweepSpec:
             raise ConfigError(f"mc_trials must be a positive integer, got {trials!r}")
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+    def _checked_axes(self) -> tuple[tuple[str, tuple], ...]:
+        given = {}
+        for name, values in self.axes:
+            if name not in AXES:  # `in` a tuple: an unhashable name is unknown
+                raise ConfigError(f"unknown key {name!r} in 'sweep'")
+            if name in given:
+                raise ConfigError(f"sweep axis {name!r} given twice")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"sweep axis {name!r} must be a non-empty list")
+            given[name] = values
+        grid_size = math.prod(map(len, given.values()))
+        if grid_size > _MAX_GRID:
+            raise ConfigError(f"grid has {grid_size} points, cap is {_MAX_GRID}")
+        axes = []
+        for name in AXES:  # canonical axis order, leftmost slowest
+            if name not in given:
+                continue
+            # Every SystemConfig check is per field, so checking each axis
+            # value alone against the base checks every grid point; the
+            # checked config hands back the value as stored.
+            checked = []
+            for value in given[name]:
+                try:
+                    point = dataclasses.replace(self.base, **{name: value})
+                except ValueError as exc:
+                    where = f"sweep axis {name!r} value {reprlib.repr(value)}"
+                    raise ConfigError(f"invalid {where}: {exc}") from exc
+                checked.append(getattr(point, name))
+            axes.append((name, tuple(checked)))
+        return tuple(axes) or (("gamma0_db", (self.base.gamma0_db,)),)
 
     def to_json(self) -> str:
         """Canonical JSON form; parsing it back yields an equal spec."""
@@ -156,41 +195,16 @@ def parse_config(document: str) -> SweepSpec:
         raise ConfigError("'base' must be an object")
     field_names = [f.name for f in dataclasses.fields(SystemConfig)]
     _reject_unknown(base_doc, set(field_names), "'base'")
-
     sweep_doc = doc.get("sweep", {})
     if not isinstance(sweep_doc, dict):
         raise ConfigError("'sweep' must be an object mapping axis -> values")
-    _reject_unknown(sweep_doc, set(AXES), "'sweep'")
-    axes = []
-    grid_size = 1
-    for name in AXES:  # canonical axis order, leftmost slowest
-        if name not in sweep_doc:
-            continue
-        values = sweep_doc[name]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep axis {name!r} must be a non-empty list")
-        axes.append((name, values))
-        grid_size *= len(values)
-    if grid_size > _MAX_GRID:
-        raise ConfigError(f"grid has {grid_size} points, cap is {_MAX_GRID}")
-    where = "base configuration"
     try:
         base = SystemConfig(**base_doc)
-        # Every SystemConfig check is per field, so checking each axis value
-        # alone against the base checks every grid point; the checked config
-        # hands back the value as stored (a float field as float).
-        for i, (name, values) in enumerate(axes):
-            checked = []
-            for value in values:
-                where = f"sweep axis {name!r} value {reprlib.repr(value)}"
-                checked.append(getattr(dataclasses.replace(base, **{name: value}), name))
-            axes[i] = (name, tuple(checked))
     except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-    axes = axes or [("gamma0_db", (base.gamma0_db,))]
+        raise ConfigError(f"invalid base configuration: {exc}") from exc
     return SweepSpec(
         base=base,
-        axes=tuple(axes),
+        axes=tuple(sweep_doc.items()),
         schemes=doc.get("schemes", ["OUS"]),
         evaluators=doc.get("evaluators", EVALUATORS),
         mc_trials=doc.get("mc_trials", 100_000),

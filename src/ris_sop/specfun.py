@@ -4,14 +4,16 @@ Everything here is pure and reentrant.  The Q-function is evaluated through
 the complementary error function; a log-domain variant is provided so that
 products of the form ``exp(a) * Q(b)`` can be assembled without overflow even
 when ``a`` runs into the thousands (which happens routinely at the extremes
-of a transmit-SNR sweep).  The Q functions work elementwise on arrays, as
-the quadrature integrands need; ``log_q`` and ``exp_times_q`` take and
-return scalars, as the term sums need.
+of a transmit-SNR sweep).  Every Q function works elementwise on arrays, as
+the quadrature integrands and the term sums need, and returns a float for a
+float.  :func:`compositions` lays every multinomial composition the term sums
+run over out as arrays, so that a sum over all of them is one array pass.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,7 +52,7 @@ ORDER_CAP = 16
 
 def _asarray_checked(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
+    if np.count_nonzero(np.isnan(arr)):  # cheaper than .any() on small arrays
         raise DomainError("Q-function argument must not be NaN")
     return arr
 
@@ -66,19 +68,42 @@ def q_exact(x):
     return out if arr.ndim else float(out)
 
 
-def log_q(x: float) -> float:
-    """Natural log of the Gaussian tail probability at one float x.
+def _log_q_right(x):
+    # x >= 0: the scaled erfc keeps full accuracy where Q(x) underflows.
+    return np.log(0.5 * _sp.erfcx(x / _SQRT2)) - 0.5 * x * x
+
+
+def _log_q_left(x):
+    return np.log1p(-0.5 * _sp.erfc(x / -_SQRT2))  # one op less than -x / _SQRT2
+
+
+def log_q(x):
+    """Natural log of the Gaussian tail probability, elementwise on arrays.
 
     For x >= 0 the scaled complementary error function is used, so the result
     is accurate (relative error well under 1e-12) even for x up to 1e4 where
-    Q(x) itself underflows.  For x < 0 the value is log1p(-Q(-x)).  It takes
-    a scalar, not an array, and NaN raises DomainError.
+    Q(x) itself underflows.  For x < 0 the value is log1p(-Q(-x)).  A float
+    gives a float, by the same operations as each array element; NaN raises
+    DomainError.
     """
-    if math.isnan(x):
-        raise DomainError("Q-function argument must not be NaN")
-    if x >= 0:
-        return float(np.log(0.5 * _sp.erfcx(x / _SQRT2)) - 0.5 * x * x)
-    return float(np.log1p(-0.5 * _sp.erfc(-x / _SQRT2)))
+    if isinstance(x, float):  # sysmodel's scalar calls skip the array path
+        if math.isnan(x):
+            raise DomainError("Q-function argument must not be NaN")
+        return float(_log_q_right(x) if x >= 0 else _log_q_left(x))
+    arr = _asarray_checked(x)
+    with np.errstate(over="ignore"):
+        out = _log_q_array(arr)
+    return out if arr.ndim else float(out)
+
+
+def _log_q_array(arr: np.ndarray) -> np.ndarray:
+    # Each branch sees its own half-line only, 0 elsewhere, so it computes
+    # and warns about nothing the result does not keep.  Past |x| = 1.3e154
+    # x * x overflows to inf and log Q is -inf, which a float computes
+    # silently: callers silence numpy's overflow warning.
+    return np.where(
+        arr >= 0, _log_q_right(np.maximum(arr, 0.0)), _log_q_left(np.minimum(arr, 0.0))
+    )
 
 
 def q_approx3(x):
@@ -96,15 +121,23 @@ def q_approx3(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def exp_times_q(a: float, b: float) -> float:
-    """exp(a) * Q(b) assembled in log domain.
+def exp_times_q(a, b):
+    """exp(a) * Q(b) assembled in log domain, elementwise on arrays.
 
-    Returns 0.0 for a = -inf.  May return inf when the product genuinely
-    overflows; callers that need finiteness must check.
+    0.0 wherever a = -inf, without looking at b; a NaN b elsewhere raises
+    DomainError.  May give inf where the product genuinely overflows;
+    callers that need finiteness must check.  Floats give a float.
     """
-    if a == -math.inf:
-        return 0.0
-    return float(np.exp(a + log_q(b)))
+    a = np.asarray(a, dtype=float)
+    dead = a == -math.inf
+    if np.count_nonzero(dead):  # exp(-inf + log_q(0)) is the 0.0 needed
+        b = np.where(dead, 0.0, b)
+    b = _asarray_checked(b)
+    # As for floats, a squared b past 1.3e154 and inf - inf are silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = a + _log_q_array(b)
+    out = np.exp(exponent)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -122,6 +155,14 @@ class MultinomialTerm:
     p_dot_k: float
 
 
+def check_order(m: int) -> None:
+    """Refuse an expansion order below 1 or above ORDER_CAP."""
+    if m < 1:
+        raise DomainError(f"expansion order must be >= 1, got {m}")
+    if m > ORDER_CAP:
+        raise CapacityError(f"expansion order {m} exceeds cap {ORDER_CAP}")
+
+
 @functools.cache
 def multinomial_set(m: int) -> tuple[MultinomialTerm, ...]:
     """All integer triples (k1, k2, k3) with k1+k2+k3 = m, exactly once.
@@ -131,10 +172,7 @@ def multinomial_set(m: int) -> tuple[MultinomialTerm, ...]:
     ORDER_CAP are refused because the binomial prefactors of the outage sum
     grow factorially.
     """
-    if m < 1:
-        raise DomainError(f"expansion order must be >= 1, got {m}")
-    if m > ORDER_CAP:
-        raise CapacityError(f"expansion order {m} exceeds cap {ORDER_CAP}")
+    check_order(m)
     w1, w2, w3 = Q_APPROX.w
     p1, p2, p3 = Q_APPROX.p
     fact_m = math.factorial(m)
@@ -156,6 +194,45 @@ def multinomial_set(m: int) -> tuple[MultinomialTerm, ...]:
                 )
             )
     return tuple(terms)
+
+
+class Compositions(NamedTuple):
+    """Every composition of the orders 1..ORDER_CAP, order by order.
+
+    Entry i is composition ``k[i]`` with weight ``weight[i]``, its
+    ``coef * weight_product`` as in :func:`multinomial_set`.  Order m holds
+    entries ``starts[m - 1]`` up to ``starts[m]``, in ``multinomial_set(m)``'s
+    order.  A term depends on its composition only through sum_i k_i p_i,
+    which takes 208 distinct values over the 968 entries: ``p_values`` lists
+    them in order of first appearance, so the values of orders 1..m come
+    first, and entry i's is ``p_values[p_index[i]]``.  The arrays are
+    read-only.
+    """
+
+    k: tuple[tuple[int, int, int], ...]
+    weight: np.ndarray
+    starts: tuple[int, ...]
+    p_values: np.ndarray
+    p_index: np.ndarray
+
+
+@functools.cache
+def compositions() -> Compositions:
+    """The composition arrays, built on first use and shared."""
+    orders = [multinomial_set(m) for m in range(1, ORDER_CAP + 1)]
+    terms = [t for order in orders for t in order]
+    p_index = {}
+    for t in terms:
+        p_index.setdefault(t.p_dot_k, len(p_index))
+    weight, p_values, index = arrays = (
+        np.array([t.coef * t.weight_product for t in terms]),
+        np.array(list(p_index)),
+        np.array([p_index[t.p_dot_k] for t in terms]),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    starts = tuple(itertools.accumulate(map(len, orders), initial=0))
+    return Compositions(tuple(t.k for t in terms), weight, starts, p_values, index)
 
 
 def signed_binom(x: int, y: int) -> int:

@@ -86,6 +86,16 @@ class TestParseConfig:
              f"unknown scheme 'NOMA_XX'; expected subset of {SCHEMES}"),
             ({"evaluators": ()}, "'evaluators' must be a non-empty list"),
             ({"schemes": "OUS"}, "'schemes' must be a non-empty list"),
+            ({"axes": (("z0", (40.0, 50.0)),)}, "unknown key 'z0' in 'sweep'"),
+            ({"axes": (("gamma0_db", ()),)},
+             "sweep axis 'gamma0_db' must be a non-empty list"),
+            ({"axes": (("foo", (1,)),)}, "unknown key 'foo' in 'sweep'"),
+            ({"axes": (("d_re", (30.0,)), ("d_re", (40.0,)))},
+             "sweep axis 'd_re' given twice"),
+            ({"axes": (("d_re", (30.0, -5)),)},
+             "invalid sweep axis 'd_re' value -5: d_re must be positive, got -5.0"),
+            ({"axes": (("gamma0_db", (0.0,) * 1001), ("n_elements", (1,) * 1001))},
+             "grid has 1002001 points, cap is 1000000"),
         ],
     )
     def test_every_spec_checks_trials_and_seed(self, change, message):
@@ -99,6 +109,15 @@ class TestParseConfig:
         )
         assert spec.schemes == ("OUS", "NOMA_WU")
         assert spec.evaluators == ("closed", "mc")
+
+    def test_every_spec_stores_its_axes_in_canonical_order(self):
+        spec = dataclasses.replace(
+            parse_config("{}"), axes=[("d_re", [30, 31.5]), ("n_users", (2,))]
+        )
+        assert spec.axes == (("n_users", (2,)), ("d_re", (30.0, 31.5)))
+        assert type(spec.axes[1][1][0]) is float
+        assert dataclasses.replace(spec, axes=()).axes == (("gamma0_db", (20.0,)),)
+        assert parse_config(spec.to_json()) == spec
 
     def test_axis_values_are_stored_as_the_fields_type(self):
         spec = parse_config('{"sweep": {"d_re": [30, 31.5], "n_users": [2]}}')

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ris_sop.errors import CapacityError, DomainError
 from ris_sop.specfun import (
     Q_APPROX,
+    compositions,
     exp_times_q,
     log_q,
     multinomial_set,
@@ -77,6 +78,26 @@ class TestLogQ:
     def test_nan_rejected(self):
         with pytest.raises(DomainError, match="must not be NaN"):
             log_q(float("nan"))
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        xs = np.concatenate([np.linspace(-40, 40, 2001), [-0.0, 0.0, 1e4, -1e4]])
+        out = log_q(xs.reshape(5, -1))
+        assert out.shape == (5, 401)
+        assert [v.hex() for v in out.ravel().tolist()] == [
+            log_q(x).hex() for x in xs.tolist()
+        ]
+        assert type(log_q(np.float64(1.5))) is float
+        assert type(log_q(np.array(1.5))) is float
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_array_argument_is_silent_like_a_float(self):
+        # x * x overflows past 1.3e154; a float's Python arithmetic is silent.
+        out = log_q(np.array([1e200, 2.0]))
+        assert out.tolist() == [log_q(1e200), log_q(2.0)] and out[0] == -math.inf
+
+    def test_nan_in_an_array_rejected(self):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            log_q(np.array([0.0, float("nan"), 1.0]))
 
 
 class TestQApprox3:
@@ -152,6 +173,29 @@ class TestMultinomialSet:
             multinomial_set(0)
 
 
+class TestCompositions:
+    def test_lays_out_every_order_as_multinomial_set(self):
+        table = compositions()
+        assert table is compositions()
+        for m in range(1, 17):
+            lo, hi = table.starts[m - 1], table.starts[m]
+            terms = multinomial_set(m)
+            assert table.k[lo:hi] == tuple(t.k for t in terms)
+            weights = [t.coef * t.weight_product for t in terms]
+            assert table.weight[lo:hi].tolist() == weights
+            p_dot_k = table.p_values[table.p_index[lo:hi]]
+            assert p_dot_k.tolist() == [t.p_dot_k for t in terms]
+            used = set(table.p_index[: table.starts[m]].tolist())
+            assert used == set(range(len(used)))  # orders 1..m use a prefix
+        assert len(table.p_values) == len(set(table.p_values.tolist())) == 208
+
+    def test_arrays_are_read_only(self):
+        table = compositions()
+        for arr in (table.weight, table.p_values, table.p_index):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestSignedBinom:
     def test_direct(self):
         assert signed_binom(3, 2) == -3
@@ -185,6 +229,26 @@ class TestExpTimesQ:
     def test_nan_argument_rejected(self):
         with pytest.raises(DomainError, match="must not be NaN"):
             exp_times_q(0.0, float("nan"))
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        a = np.linspace(-50.0, 700.0, 61)
+        b = np.linspace(-30.0, 45.0, 61)
+        out = exp_times_q(a[:, None], b[None, :])
+        assert out.shape == (61, 61)
+        assert [v.hex() for v in out.ravel().tolist()] == [
+            exp_times_q(x, y).hex() for x in a.tolist() for y in b.tolist()
+        ]
+        assert type(exp_times_q(0.0, 1.0)) is float
+
+    def test_array_nan_argument_rejected(self):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            exp_times_q(np.zeros(3), np.array([0.0, float("nan"), 1.0]))
+
+    def test_absorbing_zero_ignores_b(self):
+        a = np.array([-math.inf, 0.0, -math.inf])
+        out = exp_times_q(a, np.array([float("nan"), 0.0, 3.0]))
+        assert out.tolist() == [0.0, 0.5, 0.0]
+        assert exp_times_q(-math.inf, float("nan")) == 0.0
 
     def test_matches_direct_product(self):
         for a in (-5.0, 0.0, 2.5, 30.0):
