@@ -57,8 +57,8 @@ _J, _I = "j_plus_term", "i_plus_term"
 
 
 def _terms(p_dot_k: np.ndarray, params: CltParams, legs) -> np.ndarray:
-    """Terms at each composition weight sum_i k_i p_i in ``p_dot_k``, one row
-    per leg named in ``legs``.
+    """Terms at each value of sum_i k_i p_i in ``p_dot_k``, one row per leg
+    named in ``legs``.
 
     Leg "j_plus_term" is J+, (1/2) * integral over x in [0, inf) of
     exp(-chi_k(x)^2 / 2) * exppdf(x), chi_k the composition-scaled Q argument
@@ -150,10 +150,10 @@ def _order_sums(params: CltParams, orders: range) -> tuple[list[float], list[flo
     table = compositions()
     bounds = table.starts[orders.start - 1:orders.stop]
     lo, hi = bounds[0], bounds[-1]
-    if lo:  # past order 1, only some of the values up to order M
+    if lo:  # orders from 2 on take some of the earlier values: just those
         used, index = np.unique(table.p_index[lo:hi], return_inverse=True)
         p_dot_k = table.p_values[used]
-    else:  # orders 1..M take the first values
+    else:  # orders 1..M take the first values, every one
         index = table.p_index[:hi]
         p_dot_k = table.p_values[:index.max() + 1]
     try:
