@@ -155,9 +155,25 @@ configs = st.builds(
     z0=st.floats(-50.0, 150.0),
     upsilon=st.floats(0.5, 8.0),
 )
+# Distances and reference losses far past any physical geometry, where the
+# derived statistics sit near the float64 range's ends.
+extreme_configs = st.builds(
+    SystemConfig,
+    gamma0_db=st.floats(-60.0, 150.0),
+    n_elements=st.integers(1, 65536),
+    n_users=st.integers(1, 16),
+    r_th=st.floats(0.01, 1023.0),
+    d_sr=st.floats(-45.0, 45.0).map(lambda e: 10.0**e),
+    d_rd=st.floats(-45.0, 45.0).map(lambda e: 10.0**e),
+    d_re=st.floats(0.0, 45.0).map(lambda e: 10.0**e),
+    z0=st.floats(-300.0, 300.0),
+    upsilon=st.floats(0.5, 8.0),
+)
 
 
-def _order_sums_match_the_scalar_loop(cfg, high_snr):
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cfg=configs | extreme_configs, high_snr=st.booleans())
+def test_order_sums_match_the_scalar_loop(cfg, high_snr):
     try:
         params = _params(cfg, high_snr)
     except DomainError:
@@ -175,28 +191,7 @@ def _order_sums_match_the_scalar_loop(cfg, high_snr):
             assert [(j.hex(), t.hex()) for j, t in zip(js, ts)] == expected
 
 
-# Distances and reference losses far past any physical geometry, where the
-# derived statistics sit near the float64 range's ends.
-extreme_configs = st.builds(
-    SystemConfig,
-    gamma0_db=st.floats(-60.0, 150.0),
-    n_elements=st.integers(1, 65536),
-    n_users=st.integers(1, 16),
-    r_th=st.floats(0.01, 1023.0),
-    d_sr=st.floats(-45.0, 45.0).map(lambda e: 10.0**e),
-    d_rd=st.floats(-45.0, 45.0).map(lambda e: 10.0**e),
-    d_re=st.floats(0.0, 45.0).map(lambda e: 10.0**e),
-    z0=st.floats(-300.0, 300.0),
-    upsilon=st.floats(0.5, 8.0),
-)
-
-
-test_order_sums_match_the_scalar_loop = settings(
-    derandomize=True, deadline=None, max_examples=150
-)(given(cfg=configs | extreme_configs, high_snr=st.booleans())(
-    _order_sums_match_the_scalar_loop
-))
-for _cfg, _high_snr in CASES:
+for _cfg, _high_snr in CASES:  # every case is an @example of the drawn test too
     test_order_sums_match_the_scalar_loop = example(cfg=_cfg, high_snr=_high_snr)(
         test_order_sums_match_the_scalar_loop
     )
