@@ -11,10 +11,11 @@ The outer integral splits where the Q-function argument changes sign, so
 that a small SOP is never ``1 - total`` with ``total`` near 1.  The terms
 of every composition of the orders 1..M are one numpy array pass (once per
 distinct sum_i k_i p_i, see :func:`ris_sop.specfun.compositions`), full
-range and tail side by side, reduced order by order left to right.  Each
-step applies the scalar expression elementwise in its original order, with
-libm ``pow`` and ``exp`` where numpy's vector loops round differently, so
-the sums are bit for bit those of a scalar loop over the compositions.
+range and tail side by side, and each order's sum is one row of a single
+left-to-right accumulate.  Each step applies the scalar expression
+elementwise in its original order, with libm ``pow`` and ``exp`` where
+numpy's vector loops round differently, so the sums are bit for bit those
+of a scalar loop over the compositions.
 
 The terms and order sums read the outage threshold's offset from
 ``CltParams.offset``, ``rho - 1`` as derived.  At offset 0 they are the
@@ -24,12 +25,15 @@ them.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DomainError, EvaluationError
+from .errors import CapacityError, ContractError, EvaluationError
 from .specfun import (
     ORDER_CAP, MultinomialTerm, check_order, compositions, exp_times_q, signed_binom,
 )
@@ -53,21 +57,34 @@ class SopResult:
 
 # The two term legs, named as their errors name them: J+ over [0, inf) and
 # I+ over [alpha, inf).
-_J, _I = "j_plus_term", "i_plus_term"
+_LEGS = ("j_plus_term", "i_plus_term")
 
 
-def _terms(p_dot_k: np.ndarray, params: CltParams, legs) -> np.ndarray:
-    """Terms at each value of sum_i k_i p_i in ``p_dot_k``, one row per leg
-    named in ``legs``.
+def _div(num: float, den: np.ndarray) -> np.ndarray:
+    """num / den, raising at a zero divisor as float division does; numpy's
+    divide flag misses 0 / 0, inf / 0 and nan / 0."""
+    if not (num and math.isfinite(num)) and np.count_nonzero(den == 0):
+        raise ZeroDivisionError("float division by zero")
+    return num / den
 
-    Leg "j_plus_term" is J+, (1/2) * integral over x in [0, inf) of
-    exp(-chi_k(x)^2 / 2) * exppdf(x), chi_k the composition-scaled Q argument
-    at threshold ``rho * x + params.offset``; leg "i_plus_term" is I+, the
-    same over [alpha, inf), meaningful for alpha > 0.  Both share ``s2`` =
-    sigma_d^2 / (sum_i k_i p_i), ``ups`` = 1/(2 s2) + gamma0 / (rho
-    lambda_e), the prefactor, the exponent ``a`` and its coefficient.
+
+def _terms(p_dot_k: np.ndarray, params: CltParams, tail: bool) -> np.ndarray:
+    """Terms at each value of sum_i k_i p_i in ``p_dot_k``: row 0 holds J+,
+    row 1, only with ``tail``, I+.
+
+    J+ is (1/2) * integral over x in [0, inf) of exp(-chi_k(x)^2 / 2) *
+    exppdf(x), chi_k the composition-scaled Q argument at threshold
+    ``rho * x + params.offset``; I+ is the same over [alpha, inf), meaningful
+    for alpha > 0.  Both share ``s2`` = sigma_d^2 / (sum_i k_i p_i), ``ups``
+    = 1/(2 s2) + gamma0 / (rho lambda_e), the prefactor, the exponent ``a``
+    and its coefficient.
     """
-    mu, rho, lam, g0 = params.mu_d, params.rho, params.lambda_e, params.gamma0
+    mu, rho, lam, g0, offset = (
+        params.mu_d, params.rho, params.lambda_e, params.gamma0, params.offset
+    )
+    rho_lam = rho * lam
+    t1 = np.empty((1 + tail, len(p_dot_k)))
+    b = np.empty_like(t1)
     # Each step is the scalar expression applied elementwise, in the same
     # order, so every term keeps the bits of a scalar evaluation, and fails
     # as Python floats do: overflow to inf and NaN are silent (the caller's
@@ -79,49 +96,37 @@ def _terms(p_dot_k: np.ndarray, params: CltParams, legs) -> np.ndarray:
             # the last bits of x * x differ.  Sweeps reproduce bit for bit.
             s2 = np.float_power(np.sqrt(params.sigma2_d / p_dot_k), 2.0)
             two_s2 = 2.0 * s2
-            ups = 1.0 / two_s2 + g0 / (rho * lam)
+            ups = 1.0 / two_s2 + g0 / rho_lam
             root_ups = np.sqrt(ups)
-            pref = g0 / (2.0 * rho * lam * ups)
-            a = params.offset / (rho * lam) - mu**2 * g0 / (two_s2 * rho * lam * ups)
-            coeff = mu * _SQRT_PI / (s2 * root_ups)
-            t1, b = [], []
-            if _J in legs:
-                u0 = math.sqrt(params.offset / g0)
-                # libm exp per element: numpy's vector exp differs in last bits.
-                t1.append([*map(math.exp, (-((u0 - mu) ** 2) / two_s2).tolist())])
-                b.append(np.sqrt(2.0 * ups) * (u0 - mu / (two_s2 * ups)))
-            if _I in legs:
-                t1_tail = math.exp(-(mu**2 * g0 - params.offset) / (rho * lam))
-                t1.append([t1_tail] * len(s2))
-                b.append(math.sqrt(2.0) * mu * g0 / (rho * lam * root_ups))
+            pref = _div(g0, 2.0 * rho * lam * ups)
+            a = offset / rho_lam - _div(mu**2 * g0, two_s2 * rho * lam * ups)
+            coeff = _div(mu * _SQRT_PI, s2 * root_ups)
+            u0 = math.sqrt(offset / g0)
+            # libm exp per element: numpy's vector exp differs in last bits.
+            t1[0] = [*map(math.exp, _div(-((u0 - mu) ** 2), two_s2).tolist())]
+            np.multiply(np.sqrt(2.0 * ups), u0 - _div(mu, two_s2 * ups), out=b[0])
+            if tail:
+                t1[1] = math.exp(-(mu**2 * g0 - offset) / rho_lam)
+                b[1] = _div(math.sqrt(2.0) * mu * g0, rho_lam * root_ups)
     except FloatingPointError:
         raise ZeroDivisionError("float division by zero") from None
-    etq = exp_times_q(a, np.array(b))
+    etq = exp_times_q(a, b)
     with np.errstate(all="ignore"):
-        return pref * (np.array(t1) + coeff * etq)
+        return pref * (t1 + coeff * etq)
 
 
-def _require_finite(terms: np.ndarray, ks, legs) -> None:
-    """EvaluationError for the first composition with a term that is not
-    finite, J+ before I+ within one."""
-    finite = np.isfinite(terms)
-    if np.count_nonzero(finite) < finite.size:
-        i = int(np.argmin(finite.all(axis=0)))
-        leg = int(np.argmin(finite[:, i]))
-        raise EvaluationError(
-            f"{legs[leg]} lost finiteness for k={ks[i]}: got {float(terms[leg, i])}"
-        )
-
-
-def _one_term(p_dot_k: float, k: tuple[int, int, int], params: CltParams, legs) -> float:
-    terms = _terms(np.array([p_dot_k]), params, legs)
-    _require_finite(terms, (k,), legs)
-    return float(terms[-1, 0])
+def _one_term(p_dot_k: float, k: tuple[int, int, int], params: CltParams, tail: bool):
+    """One composition's I+ with ``tail``, else its J+; J+ is checked first."""
+    terms = _terms(np.array([p_dot_k]), params, tail)[:, 0].tolist()
+    for leg, value in zip(_LEGS, terms):
+        if not math.isfinite(value):
+            raise EvaluationError(f"{leg} lost finiteness for k={k}: got {value}")
+    return terms[-1]
 
 
 def j_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     """Single multinomial term of the full-range outage integral J+."""
-    return _one_term(k.p_dot_k, k.k, params, (_J,))
+    return _one_term(k.p_dot_k, k.k, params, tail=False)
 
 
 def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
@@ -133,44 +138,73 @@ def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     alpha = params.branch_point()
     if alpha <= 0:
         raise ContractError(f"i_plus_term requires alpha > 0, got alpha={alpha}")
-    return _one_term(k.p_dot_k, k.k, params, (_J, _I))
+    return _one_term(k.p_dot_k, k.k, params, tail=True)
 
 
-def _order_sums(params: CltParams, orders: range) -> tuple[list[float], list[float]]:
-    """(J+(m), T(m)) for each order m in ``orders``, from one array pass.
+class _Layout(NamedTuple):
+    """The compositions of orders ``first``..``last`` laid out for one pass.
+
+    ``p_dot_k`` holds the distinct sums k . p they use; composition i (of
+    ``ks``, order by order) takes ``p_dot_k[index[i]]``.  Row r of ``gather``
+    and ``weight`` is order ``first + r``: column 0 is left for the 0.0 each
+    sum starts from, then come the order's compositions, then weight 0.0 up
+    to the widest order.
+    """
+
+    p_dot_k: np.ndarray
+    ks: tuple[tuple[int, int, int], ...]
+    index: np.ndarray
+    gather: np.ndarray
+    weight: np.ndarray
+
+
+@functools.cache
+def _layout(first: int, last: int) -> _Layout:
+    table = compositions()
+    lo = table.starts[first - 1]
+    used, index = np.unique(table.p_index[lo:table.starts[last]], return_inverse=True)
+    width = 1 + (last + 1) * (last + 2) // 2
+    gather = np.zeros((last - first + 1, width), dtype=np.intp)
+    weight = np.zeros(gather.shape)
+    for row, (start, stop) in enumerate(itertools.pairwise(table.starts[first - 1:last + 1])):
+        gather[row, 1:1 + stop - start] = index[start - lo:stop - lo]
+        weight[row, 1:1 + stop - start] = table.weight[start:stop]
+    p_dot_k = table.p_values[used]
+    for arr in (p_dot_k, index, gather, weight):
+        arr.flags.writeable = False
+    return _Layout(p_dot_k, table.k[lo:table.starts[last]], index, gather, weight)
+
+
+def _order_sums(params: CltParams, first: int, last: int) -> tuple[list[float], list[float]]:
+    """(J+(m), T(m)) for each order m = first..last, from one array pass.
 
     T(m) is I+(m) when alpha > 0, else J+(m) itself.  The terms are
     evaluated once per distinct sum_i k_i p_i of the compositions and spread
-    to them; each order's sum then runs left to right in composition order
-    (``np.sum`` would pair terms and move last bits).
+    to them; each order's sum then runs left to right from 0.0 in
+    composition order, as a float loop adds (``np.sum`` would pair terms and
+    move last bits).
     """
-    check_order(orders.start)
-    check_order(orders[-1])
-    legs = (_J, _I) if params.branch_point() > 0 else (_J,)
-    table = compositions()
-    bounds = table.starts[orders.start - 1:orders.stop]
-    lo, hi = bounds[0], bounds[-1]
-    if lo:  # orders from 2 on take some of the earlier values: just those
-        used, index = np.unique(table.p_index[lo:hi], return_inverse=True)
-        p_dot_k = table.p_values[used]
-    else:  # orders 1..M take the first values, every one
-        index = table.p_index[:hi]
-        p_dot_k = table.p_values[:index.max() + 1]
+    check_order(first)
+    check_order(last)
+    tail = params.branch_point() > 0
+    layout = _layout(first, last)
     try:
-        terms = _terms(p_dot_k, params, legs)[:, index]
-    except (ZeroDivisionError, DomainError):
+        terms = _terms(layout.p_dot_k, params, tail)
+        if np.count_nonzero(np.isfinite(terms)) < terms.size:
+            raise EvaluationError("a term lost finiteness")
+    except (ArithmeticError, ValueError):  # DomainError and ZeroDivisionError too
         # Raise what a loop over the compositions raises: the first one to
-        # fail, its J+ before its I+, a zero divisor or NaN Q argument
-        # before a term that is not finite.
-        for i in range(lo, hi):
-            for n in range(1, len(legs) + 1):
-                _one_term(table.p_values[table.p_index[i]], table.k[i], params, legs[:n])
+        # fail, its J+ before its I+.
+        for k, i in zip(layout.ks, layout.index.tolist()):
+            _one_term(float(layout.p_dot_k[i]), k, params, tail=False)
+            if tail:
+                _one_term(float(layout.p_dot_k[i]), k, params, tail=True)
         raise
-    _require_finite(terms, table.k[lo:hi], legs)
-    weighted = table.weight[lo:hi] * terms
-    sums = np.empty((len(legs), len(orders)))
-    for col, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        sums[:, col] = np.add.accumulate(weighted[:, start - lo:stop - lo], axis=1)[:, -1]
+    # Finite terms times weight 0.0 give +-0.0, which leaves a sum that
+    # starts from +0.0 as it is.
+    weighted = layout.weight * terms[:, layout.gather]
+    weighted[..., 0] = 0.0
+    sums = np.add.accumulate(weighted, axis=-1)[..., -1]
     return sums[0].tolist(), sums[-1].tolist()
 
 
@@ -180,14 +214,14 @@ def order_sums(m: int, params: CltParams) -> tuple[float, float]:
     J+(m) runs over [0, inf) and T(m) over [max(alpha, 0), inf): I+(m) when
     alpha > 0, else J+(m).  Both sum left to right in composition order.
     """
-    (j,), (t,) = _order_sums(params, range(m, m + 1))
+    (j,), (t,) = _order_sums(params, m, m)
     return j, t
 
 
 def order_sums_upto(m_users: int, params: CltParams) -> tuple[list[float], list[float]]:
     """[J+(m)] and [T(m)] for m = 1..m_users, as :func:`order_sums` gives
     them, from one array pass over all their compositions."""
-    return _order_sums(params, range(1, m_users + 1))
+    return _order_sums(params, 1, m_users)
 
 
 def sop_closed_form(cfg: SystemConfig) -> SopResult:

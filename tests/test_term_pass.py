@@ -24,7 +24,7 @@ from ris_sop.analytic import (
     sop_closed_form,
 )
 from ris_sop.asymptotic import sop_asymptotic
-from ris_sop.errors import DomainError, EvaluationError
+from ris_sop.errors import CapacityError, DomainError, EvaluationError
 from ris_sop.specfun import multinomial_set
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
 
@@ -232,6 +232,31 @@ class TestErrorPath:
         assert math.isfinite(j_plus_term(first, params))
         with pytest.raises(EvaluationError, match=r"j_plus_term .* k=\(0, 1, 0\)"):
             j_plus_term(multinomial_set(1)[1], params)
+
+    @pytest.mark.parametrize("changes", [
+        # mu_d^2 gamma0 underflows to 0 and so does its divisor: 0 / 0.
+        dict(mu_d=3.4e-177, sigma2_d=2.4e-134, lambda_e=5.5e-266, gamma0=0.0054,
+             rho=8.4, offset=88.8),
+        # mu_d^2 gamma0 overflows to inf and its divisor underflows: inf / 0,
+        # which numpy turns into an exponent of -inf and a finite term.
+        dict(mu_d=3.1e96, sigma2_d=5.1e-215, lambda_e=3.0e172, gamma0=4.3e175,
+             rho=1.6e-254, offset=1.25),
+    ])
+    def test_a_zero_divisor_raises_whatever_it_divides(self, changes):
+        params = replace(derive_clt_params(SystemConfig()), **changes)
+        raised = (ZeroDivisionError, "float division by zero")
+        assert _outcome(_scalar_order_sums, 1, params) == raised
+        assert _outcome(order_sums, 1, params) == raised
+        assert _outcome(order_sums_upto, 2, params) == raised
+        assert _outcome(j_plus_term, multinomial_set(1)[0], params) == raised
+
+    def test_orders_outside_the_table_are_refused(self):
+        params = derive_clt_params(SystemConfig())
+        for fn in (order_sums, order_sums_upto):
+            with pytest.raises(DomainError, match="expansion order must be >= 1, got 0"):
+                fn(0, params)
+            with pytest.raises(CapacityError, match="expansion order 17 exceeds cap 16"):
+                fn(17, params)
 
     def test_a_nan_q_argument_raises_domain_error(self):
         params = replace(self._params(), sigma2_d=math.nan)

@@ -1,17 +1,17 @@
 """Alternating parent/change runs of the benchmark, written as one BENCH_<n>.json.
 
     python3 tools/bench_ab.py --parent HEAD~1 --change HEAD \\
-        --workloads design-grid eav-distance --pairs 10 --seeds 41-50 \\
-        --out BENCH_17.json
+        --workloads design-grid eav-distance --seeds 41-50 --out BENCH_17.json
 
 Each revision is exported with ``git archive`` into ``.bench_build/<sha>``
 (an export, not a worktree, so nothing is registered in the repository) and
 runs its own ``bench/run.py --trace 0`` for the ``run_seconds`` that the
-change's ``BENCHMARK.json`` declares.  Pair i of a workload runs the i-th seed
-of ``--seeds`` on both sides; the side that runs first alternates, the parent
-first in each workload's first pair.  The file holds every run's result line
-and, per workload and end-to-end metric, each side's median and quartiles and
-the number of pairs the change won (ties count for neither side).
+change's ``BENCHMARK.json`` declares.  Each workload runs one pair per seed
+of ``--seeds``, that seed on both sides; the side that runs first
+alternates, the parent first in each workload's first pair.  The file holds
+every run's result line and, per workload and end-to-end metric, each side's
+median and quartiles and the number of pairs the change won (ties count for
+neither side).
 """
 
 from __future__ import annotations
@@ -138,17 +138,13 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", required=True, help="revision measured as the change")
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, required=True, help="pairs per workload")
-    parser.add_argument("--seeds", required=True, help="seed range a-b, one per pair")
+    parser.add_argument("--seeds", required=True, help="seed range a-b, one pair per seed")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--what", help="what the runs measure, for the file's 'what'",
                         default="Alternating parent/change runs of bench/run.py.")
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    if not 1 <= args.pairs <= len(seeds):
-        parser.error(f"--pairs must lie in [1, {len(seeds)}], the seeds given")
-    seeds = seeds[: args.pairs]
 
     shas = {"parent": _sha(args.parent), "change": _sha(args.change)}
     trees = {side: _export(sha) for side, sha in shas.items()}
@@ -158,7 +154,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in declared["end_to_end"]}
         runs, machine = [], None
         for workload in args.workloads:
-            for seed, sides in zip(seeds, run_order(args.pairs)):
+            for seed, sides in zip(seeds, run_order(len(seeds))):
                 for side in sides:
                     seen, result = _run(trees[side], workload, seed, seconds)
                     machine = machine or seen
