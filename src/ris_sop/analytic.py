@@ -202,7 +202,8 @@ def _order_sums(params: CltParams, first: int, last: int) -> tuple[list[float], 
         raise
     # Finite terms times weight 0.0 give +-0.0, which leaves a sum that
     # starts from +0.0 as it is.
-    weighted = layout.weight * terms[:, layout.gather]
+    weighted = terms.take(layout.gather, axis=1)  # a fancy index costs 3-5x more
+    weighted *= layout.weight
     weighted[..., 0] = 0.0
     sums = np.add.accumulate(weighted, axis=-1)[..., -1]
     return sums[0].tolist(), sums[-1].tolist()
