@@ -8,14 +8,16 @@ and recombined through :func:`ris_sop.specfun.exp_times_q`; a naive
 evaluation overflows long before the interesting operating points.
 
 The outer integral splits where the Q-function argument changes sign, so
-that a small SOP is never ``1 - total`` with ``total`` near 1.  The terms
-of every composition of the orders 1..M are one numpy array pass (once per
-distinct sum_i k_i p_i, see :func:`ris_sop.specfun.compositions`), full
-range and tail side by side, and each order's sum is one row of a single
-left-to-right accumulate.  Each step applies the scalar expression
-elementwise in its original order, with libm ``pow`` and ``exp`` where
-numpy's vector loops round differently, so the sums are bit for bit those
-of a scalar loop over the compositions.
+that a small SOP is never ``1 - total`` with ``total`` near 1.
+:func:`order_sums` evaluates the terms of every composition of the orders
+1..M in one numpy array pass (once per distinct sum_i k_i p_i, from a table
+cached per M), full range and tail side by side, and each order's sum is
+one row of a single left-to-right accumulate.  Each step applies the
+scalar expression elementwise in its original order, with libm ``pow`` and
+``exp`` where numpy's vector loops round differently, so the sums are bit
+for bit those of a scalar loop over :func:`ris_sop.specfun.multinomial_set`,
+errors included.  The routes report a zero divisor in the term arithmetic,
+which the loop raised as ``ZeroDivisionError``, as ``EvaluationError``.
 
 The terms and order sums read the outage threshold's offset from
 ``CltParams.offset``, ``rho - 1`` as derived.  At offset 0 they are the
@@ -26,18 +28,16 @@ them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, EvaluationError
+from .errors import ContractError, EvaluationError
 from .specfun import (
-    ORDER_CAP, MultinomialTerm, check_order, compositions, exp_times_q, signed_binom,
+    MultinomialTerm, check_order, exp_times_q, multinomial_set, signed_binom,
 )
-from .specfun import multinomial_set  # noqa: F401 - bench/tracing.py wraps this name
 from .sysmodel import CltParams, SystemConfig, derive_clt_params
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -115,18 +115,18 @@ def _terms(p_dot_k: np.ndarray, params: CltParams, tail: bool) -> np.ndarray:
         return pref * (t1 + coeff * etq)
 
 
-def _one_term(p_dot_k: float, k: tuple[int, int, int], params: CltParams, tail: bool):
+def _one_term(k: MultinomialTerm, params: CltParams, tail: bool) -> float:
     """One composition's I+ with ``tail``, else its J+; J+ is checked first."""
-    terms = _terms(np.array([p_dot_k]), params, tail)[:, 0].tolist()
+    terms = _terms(np.array([k.p_dot_k]), params, tail)[:, 0].tolist()
     for leg, value in zip(_LEGS, terms):
         if not math.isfinite(value):
-            raise EvaluationError(f"{leg} lost finiteness for k={k}: got {value}")
+            raise EvaluationError(f"{leg} lost finiteness for k={k.k}: got {value}")
     return terms[-1]
 
 
 def j_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     """Single multinomial term of the full-range outage integral J+."""
-    return _one_term(k.p_dot_k, k.k, params, tail=False)
+    return _one_term(k, params, tail=False)
 
 
 def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
@@ -138,59 +138,51 @@ def i_plus_term(k: MultinomialTerm, params: CltParams) -> float:
     alpha = params.branch_point()
     if alpha <= 0:
         raise ContractError(f"i_plus_term requires alpha > 0, got alpha={alpha}")
-    return _one_term(k.p_dot_k, k.k, params, tail=True)
+    return _one_term(k, params, tail=True)
 
 
 class _Layout(NamedTuple):
-    """The compositions of orders ``first``..``last`` laid out for one pass.
+    """The compositions of orders 1..M laid out for one pass.
 
-    ``p_dot_k`` holds the distinct sums k . p they use; composition i (of
-    ``ks``, order by order) takes ``p_dot_k[index[i]]``.  Row r of ``gather``
-    and ``weight`` is order ``first + r``: column 0 is left for the 0.0 each
-    sum starts from, then come the order's compositions, then weight 0.0 up
-    to the widest order.
+    ``p_dot_k`` holds the distinct sums k . p in order of first appearance.
+    Row m - 1 of ``gather`` and ``weight`` is order m: column 0 is left for
+    the 0.0 each sum starts from, then come ``multinomial_set(m)``'s
+    compositions, each as its index into ``p_dot_k`` and its
+    ``coef * weight_product``, then weight 0.0 up to the widest order.
     """
 
     p_dot_k: np.ndarray
-    ks: tuple[tuple[int, int, int], ...]
-    index: np.ndarray
     gather: np.ndarray
     weight: np.ndarray
 
 
 @functools.cache
-def _layout(first: int, last: int) -> _Layout:
-    table = compositions()
-    lo, hi = table.starts[first - 1], table.starts[last]
-    # np.unique would do, but its first call costs 0.5 MB of peak RSS.
-    p_index = table.p_index[lo:hi].tolist()
-    slot = {v: i for i, v in enumerate(sorted(set(p_index)))}
-    index = np.array([slot[v] for v in p_index])
-    width = 1 + (last + 1) * (last + 2) // 2
-    gather = np.zeros((last - first + 1, width), dtype=np.intp)
+def _layout(m_users: int) -> _Layout:
+    index: dict[float, int] = {}
+    gather = np.zeros((m_users, 1 + (m_users + 1) * (m_users + 2) // 2), dtype=np.intp)
     weight = np.zeros(gather.shape)
-    for row, (start, stop) in enumerate(itertools.pairwise(table.starts[first - 1:last + 1])):
-        gather[row, 1:1 + stop - start] = index[start - lo:stop - lo]
-        weight[row, 1:1 + stop - start] = table.weight[start:stop]
-    p_dot_k = table.p_values[list(slot)]
-    for arr in (p_dot_k, index, gather, weight):
+    for row, terms in enumerate(map(multinomial_set, range(1, m_users + 1))):
+        cols = slice(1, 1 + len(terms))
+        gather[row, cols] = [index.setdefault(t.p_dot_k, len(index)) for t in terms]
+        weight[row, cols] = [t.coef * t.weight_product for t in terms]
+    p_dot_k = np.array(list(index))
+    for arr in (p_dot_k, gather, weight):
         arr.flags.writeable = False
-    return _Layout(p_dot_k, table.k[lo:hi], index, gather, weight)
+    return _Layout(p_dot_k, gather, weight)
 
 
-def _order_sums(params: CltParams, first: int, last: int) -> tuple[list[float], list[float]]:
-    """(J+(m), T(m)) for each order m = first..last, from one array pass.
+def order_sums(m_users: int, params: CltParams) -> tuple[list[float], list[float]]:
+    """[J+(m)] and [T(m)] for each order m = 1..m_users, from one array pass.
 
-    T(m) is I+(m) when alpha > 0, else J+(m) itself.  The terms are
-    evaluated once per distinct sum_i k_i p_i of the compositions and spread
-    to them; each order's sum then runs left to right from 0.0 in
-    composition order, as a float loop adds (``np.sum`` would pair terms and
-    move last bits).
+    J+(m) runs over [0, inf) and T(m) over [max(alpha, 0), inf): I+(m) when
+    alpha > 0, else J+(m).  The terms are evaluated once per distinct
+    sum_i k_i p_i of the compositions and spread to them; each order's sum
+    then runs left to right from 0.0 in composition order, as a float loop
+    adds (``np.sum`` would pair terms and move last bits).
     """
-    check_order(first)
-    check_order(last)
+    check_order(m_users)
     tail = params.branch_point() > 0
-    layout = _layout(first, last)
+    layout = _layout(m_users)
     try:
         terms = _terms(layout.p_dot_k, params, tail)
         if np.count_nonzero(np.isfinite(terms)) < terms.size:
@@ -198,10 +190,11 @@ def _order_sums(params: CltParams, first: int, last: int) -> tuple[list[float], 
     except (ArithmeticError, ValueError):  # DomainError and ZeroDivisionError too
         # Raise what a loop over the compositions raises: the first one to
         # fail, its J+ before its I+.
-        for k, i in zip(layout.ks, layout.index.tolist()):
-            _one_term(float(layout.p_dot_k[i]), k, params, tail=False)
-            if tail:
-                _one_term(float(layout.p_dot_k[i]), k, params, tail=True)
+        for m in range(1, m_users + 1):
+            for k in multinomial_set(m):
+                _one_term(k, params, tail=False)
+                if tail:
+                    _one_term(k, params, tail=True)
         raise
     # Finite terms times weight 0.0 give +-0.0, which leaves a sum that
     # starts from +0.0 as it is.
@@ -210,22 +203,6 @@ def _order_sums(params: CltParams, first: int, last: int) -> tuple[list[float], 
     weighted[..., 0] = 0.0
     sums = np.add.accumulate(weighted, axis=-1)[..., -1]
     return sums[0].tolist(), sums[-1].tolist()
-
-
-def order_sums(m: int, params: CltParams) -> tuple[float, float]:
-    """Order-m integrals (J+(m), T(m)) via the multinomial expansion.
-
-    J+(m) runs over [0, inf) and T(m) over [max(alpha, 0), inf): I+(m) when
-    alpha > 0, else J+(m).  Both sum left to right in composition order.
-    """
-    (j,), (t,) = _order_sums(params, m, m)
-    return j, t
-
-
-def order_sums_upto(m_users: int, params: CltParams) -> tuple[list[float], list[float]]:
-    """[J+(m)] and [T(m)] for m = 1..m_users, as :func:`order_sums` gives
-    them, from one array pass over all their compositions."""
-    return _order_sums(params, 1, m_users)
 
 
 def sop_closed_form(cfg: SystemConfig) -> SopResult:
@@ -238,13 +215,12 @@ def sop_closed_form(cfg: SystemConfig) -> SopResult:
     """
     params = derive_clt_params(cfg)
     m_users = cfg.n_users
-    if m_users > ORDER_CAP:
-        raise CapacityError(
-            f"n_users capped at {ORDER_CAP} for the closed form, got {m_users}"
-        )
     xi, xi_c = params.xi, params.xi_complement()
     orders = range(1, m_users + 1)
-    js, ts = order_sums_upto(m_users, params)
+    try:
+        js, ts = order_sums(m_users, params)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"order sums: {exc}") from exc
     tail_mass = max(params.branch_point(), 0.0) / params.lambda_e
     head = xi_c**m_users * -math.expm1(-tail_mass) + sum(
         math.comb(m_users, m) * xi_c ** (m_users - m) * xi**m * (j - t)

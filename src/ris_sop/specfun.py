@@ -6,14 +6,13 @@ products of the form ``exp(a) * Q(b)`` can be assembled without overflow even
 when ``a`` runs into the thousands (which happens routinely at the extremes
 of a transmit-SNR sweep).  Every Q function works elementwise on arrays, as
 the quadrature integrands and the term sums need, and returns a float for a
-float.  :func:`compositions` lays every multinomial composition the term sums
-run over out as arrays, so that a sum over all of them is one array pass.
+float.  :func:`multinomial_set` lists the compositions of one expansion
+order that the term sums run over.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -194,45 +193,6 @@ def multinomial_set(m: int) -> tuple[MultinomialTerm, ...]:
                 )
             )
     return tuple(terms)
-
-
-class Compositions(NamedTuple):
-    """Every composition of the orders 1..ORDER_CAP, order by order.
-
-    Entry i is composition ``k[i]`` with weight ``weight[i]``, its
-    ``coef * weight_product`` as in :func:`multinomial_set`.  Order m holds
-    entries ``starts[m - 1]`` up to ``starts[m]``, in ``multinomial_set(m)``'s
-    order.  A term depends on its composition only through sum_i k_i p_i,
-    which takes 208 distinct values over the 968 entries: ``p_values`` lists
-    them in order of first appearance, so the values of orders 1..m come
-    first, and entry i's is ``p_values[p_index[i]]``.  The arrays are
-    read-only.
-    """
-
-    k: tuple[tuple[int, int, int], ...]
-    weight: np.ndarray
-    starts: tuple[int, ...]
-    p_values: np.ndarray
-    p_index: np.ndarray
-
-
-@functools.cache
-def compositions() -> Compositions:
-    """The composition arrays, built on first use and shared."""
-    orders = [multinomial_set(m) for m in range(1, ORDER_CAP + 1)]
-    terms = [t for order in orders for t in order]
-    p_index = {}
-    for t in terms:
-        p_index.setdefault(t.p_dot_k, len(p_index))
-    weight, p_values, index = arrays = (
-        np.array([t.coef * t.weight_product for t in terms]),
-        np.array(list(p_index)),
-        np.array([p_index[t.p_dot_k] for t in terms]),
-    )
-    for arr in arrays:
-        arr.flags.writeable = False
-    starts = tuple(itertools.accumulate(map(len, orders), initial=0))
-    return Compositions(tuple(t.k for t in terms), weight, starts, p_values, index)
 
 
 def signed_binom(x: int, y: int) -> int:

@@ -529,6 +529,22 @@ class TestMain:
         assert summary == "oracle: FAIL (1 points)"
         assert "Traceback" not in captured.err
 
+    def test_oracle_reports_order_sums_that_divide_by_zero(self, tmp_path, capsys):
+        # Every field passes its check, but the terms' divisors underflow to
+        # 0 at distances past 1e17 m.
+        base = {"gamma0_db": 102.9, "n_elements": 65536, "r_th": 1.697,
+                "d_sr": 1.54e38, "d_rd": 2.56e42, "d_re": 1.6e17, "z0": 181.6,
+                "upsilon": 3.747}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": base}))
+        assert main(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        row, summary = captured.out.strip().split("\n")
+        assert row.startswith("point 0 ") and "EvaluationError" in row
+        assert "division by zero" in row and row.endswith("FAIL")
+        assert summary == "oracle: FAIL (1 points)"
+        assert "Traceback" not in captured.err
+
     def test_sweep_checks_out_before_evaluating(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text('{"evaluators": ["closed"]}')

@@ -71,6 +71,14 @@ configs = st.builds(
         z0=87.7, upsilon=2.76, gamma0_db=145.8, r_th=1023.0,
     )
 )
+# Products in the term arithmetic underflowed to 0, and both term-sum routes
+# raised a bare ZeroDivisionError.
+@example(
+    cfg=SystemConfig(
+        gamma0_db=102.9, n_elements=65536, r_th=1.697, d_sr=1.54e38, d_rd=2.56e42,
+        d_re=1.6e17, z0=181.6, upsilon=3.747,
+    )
+)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluators_return_a_probability_or_a_package_error(cfg):
     subdivisions = []  # one entry per quadrature call that converged

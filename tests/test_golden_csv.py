@@ -5,10 +5,13 @@ worker count.  This file pins the whole text of two small sweeps at one and
 two sweep workers: an OUS-only grid with all five evaluators, and a grid
 that mixes OUS with both NOMA schemes, where each M >= 2 point's three
 Monte Carlo rows come from one paired pass and the M = 1 points have no
-NOMA pair (their NOMA rows are empty).  A change that moves one printed
-digit, one row or one column fails here.
+NOMA pair (their NOMA rows are empty).  It also pins the sha256 of the two
+analytic benchmark workloads' seed-1 CSVs, over every order 1..16 and
+geometry they sweep.  A change that moves one printed digit, one row or one
+column fails here.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -62,3 +65,46 @@ MIXED_CSV = (
                          ids=["ous-only", "mixed"])
 def test_sweep_csv_is_pinned(doc, text, workers):
     assert emit_csv(run_sweep(parse_config(json.dumps(doc)), workers=workers)) == text
+
+
+# The analytic workloads of bench/run.py, copied here, at seed 1: (document,
+# rows, sha256 of the CSV).
+WORKLOADS = {
+    "design-grid": (
+        {
+            "sweep": {
+                "gamma0_db": list(range(-10, 55, 5)),
+                "n_elements": [64, 256],
+                "n_users": [1, 3, 8, 16],
+            },
+            "schemes": ["OUS"],
+            "evaluators": ["closed", "asymptotic", "quad_exact", "quad_approx"],
+            "seed": 1,
+        },
+        104,
+        "cc180618d06771217e764b7c0bf45b8dd139933679a7fcfac90fc4252a8ed675",
+    ),
+    "eav-distance": (
+        {
+            "sweep": {
+                "gamma0_db": [-10, 0],
+                "n_elements": [64, 256],
+                "n_users": [1, 3],
+                "d_re": [10, 20, 30, 34, 38],
+            },
+            "schemes": ["OUS"],
+            "evaluators": ["closed", "quad_exact", "quad_approx"],
+            "seed": 1,
+        },
+        40,
+        "8968e27ded7a816c9b779b213eadecf7baa29355eff91ea707ff7d6b29b6bcaf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_benchmark_workload_csv_is_pinned(name):
+    doc, n_rows, sha256 = WORKLOADS[name]
+    rows = run_sweep(parse_config(json.dumps(doc)))
+    assert len(rows) == n_rows
+    assert hashlib.sha256(emit_csv(rows).encode()).hexdigest() == sha256

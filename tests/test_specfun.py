@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from ris_sop.errors import CapacityError, DomainError
 from ris_sop.specfun import (
     Q_APPROX,
-    compositions,
     exp_times_q,
     log_q,
     multinomial_set,
@@ -171,29 +170,6 @@ class TestMultinomialSet:
             multinomial_set(17)
         with pytest.raises(DomainError):
             multinomial_set(0)
-
-
-class TestCompositions:
-    def test_lays_out_every_order_as_multinomial_set(self):
-        table = compositions()
-        assert table is compositions()
-        for m in range(1, 17):
-            lo, hi = table.starts[m - 1], table.starts[m]
-            terms = multinomial_set(m)
-            assert table.k[lo:hi] == tuple(t.k for t in terms)
-            weights = [t.coef * t.weight_product for t in terms]
-            assert table.weight[lo:hi].tolist() == weights
-            p_dot_k = table.p_values[table.p_index[lo:hi]]
-            assert p_dot_k.tolist() == [t.p_dot_k for t in terms]
-            used = set(table.p_index[: table.starts[m]].tolist())
-            assert used == set(range(len(used)))  # orders 1..m use a prefix
-        assert len(table.p_values) == len(set(table.p_values.tolist())) == 208
-
-    def test_arrays_are_read_only(self):
-        table = compositions()
-        for arr in (table.weight, table.p_values, table.p_index):
-            with pytest.raises(ValueError):
-                arr[0] = 0
 
 
 class TestSignedBinom:

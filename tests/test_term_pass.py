@@ -17,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from ris_sop.analytic import (
+    _layout,
     i_plus_term,
     j_plus_term,
     order_sums,
-    order_sums_upto,
     sop_closed_form,
 )
 from ris_sop.asymptotic import sop_asymptotic
@@ -80,6 +80,15 @@ def _scalar_order_sums(m, params):
         j_sum += weight * j
         t_sum += weight * t
     return j_sum, t_sum
+
+
+def _loop_over_orders(outcomes):
+    """What the scalar loop over orders 1..m gives, from the ``_outcome`` of
+    each order: the first order's error, else every J+ and then every T."""
+    for outcome in outcomes:
+        if not isinstance(outcome[0], str):
+            return outcome
+    return tuple(j for j, _ in outcomes) + tuple(t for _, t in outcomes)
 
 
 def _j_q_argument(k, params):
@@ -181,14 +190,10 @@ def test_order_sums_match_the_scalar_loop(cfg, high_snr):
     orders = range(1, cfg.n_users + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # compared, not judged here
-        expected = [_outcome(_scalar_order_sums, order, params) for order in orders]
-        assert [_outcome(order_sums, order, params) for order in orders] == expected
-        raised = [e for e in expected if not isinstance(e[0], str)]
-        if raised:  # the pass over all orders raises what the first order raised
-            assert _outcome(order_sums_upto, cfg.n_users, params) == raised[0]
-        else:
-            js, ts = order_sums_upto(cfg.n_users, params)
-            assert [(j.hex(), t.hex()) for j, t in zip(js, ts)] == expected
+        per_order = [_outcome(_scalar_order_sums, order, params) for order in orders]
+        for m in orders:  # the pass over orders 1..m raises the first order's error
+            expected = _loop_over_orders(per_order[:m])
+            assert _outcome(order_sums, m, params) == expected
 
 
 for _cfg, _high_snr in CASES:  # every case is an @example of the drawn test too
@@ -247,16 +252,15 @@ class TestErrorPath:
         raised = (ZeroDivisionError, "float division by zero")
         assert _outcome(_scalar_order_sums, 1, params) == raised
         assert _outcome(order_sums, 1, params) == raised
-        assert _outcome(order_sums_upto, 2, params) == raised
+        assert _outcome(order_sums, 2, params) == raised
         assert _outcome(j_plus_term, multinomial_set(1)[0], params) == raised
 
     def test_orders_outside_the_table_are_refused(self):
         params = derive_clt_params(SystemConfig())
-        for fn in (order_sums, order_sums_upto):
-            with pytest.raises(DomainError, match="expansion order must be >= 1, got 0"):
-                fn(0, params)
-            with pytest.raises(CapacityError, match="expansion order 17 exceeds cap 16"):
-                fn(17, params)
+        with pytest.raises(DomainError, match="expansion order must be >= 1, got 0"):
+            order_sums(0, params)
+        with pytest.raises(CapacityError, match="expansion order 17 exceeds cap 16"):
+            order_sums(17, params)
 
     def test_a_nan_q_argument_raises_domain_error(self):
         params = replace(self._params(), sigma2_d=math.nan)
@@ -276,3 +280,29 @@ class TestErrorPath:
     def test_overflow_stays_silent_as_for_floats(self, cfg):
         assert sop_closed_form(cfg).value == 1.0
         assert sop_asymptotic(cfg).sop_simplified == 1.0
+
+
+class TestLayout:
+    def test_lays_out_every_order_as_multinomial_set(self):
+        table = _layout(16)
+        assert table is _layout(16)
+        for m in range(1, 17):
+            terms = multinomial_set(m)
+            row = slice(1, 1 + len(terms))
+            assert table.weight[m - 1, row].tolist() == [
+                t.coef * t.weight_product for t in terms
+            ]
+            assert table.p_dot_k[table.gather[m - 1, row]].tolist() == [
+                t.p_dot_k for t in terms
+            ]
+            assert not table.weight[m - 1, 1 + len(terms):].any()
+            # The table for orders 1..m lists their distinct values first.
+            p_dot_k = _layout(m).p_dot_k.tolist()
+            assert p_dot_k == table.p_dot_k[: len(p_dot_k)].tolist()
+        assert len(table.p_dot_k) == len(set(table.p_dot_k.tolist())) == 208
+
+    def test_arrays_are_read_only(self):
+        table = _layout(16)
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
