@@ -56,7 +56,8 @@ class SweepSpec:
     ``axes`` holds (name, values) pairs over distinct ``AXES`` names, each
     with a non-empty list of values that ``base`` accepts; a value is stored
     as the field stores it (a float field as float).  No axes sweeps the base
-    point alone, stored as a one-value ``gamma0_db`` axis.
+    point alone, stored as a one-value ``gamma0_db`` axis.  Every scheme needs
+    an evaluator that serves it: the analytic routes serve OUS alone.
     """
 
     base: SystemConfig
@@ -77,6 +78,12 @@ class SweepSpec:
                     what = f"unknown {field[:-1]} {name!r}"
                     raise ConfigError(f"{what}; expected subset of {known}")
             object.__setattr__(self, field, tuple(n for n in known if n in given))
+        # The analytic routes serve OUS alone; "mc" serves every scheme.
+        served = SCHEMES if "mc" in self.evaluators else ("OUS",)
+        for scheme in self.schemes:
+            if scheme not in served:
+                raise ConfigError(f"no requested evaluator serves scheme {scheme!r}; "
+                                  "only 'mc' does")
         trials, seed = self.mc_trials, self.seed
         if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
             raise ConfigError(f"mc_trials must be a positive integer, got {trials!r}")

@@ -13,9 +13,13 @@ the estimate or how many sweep points run alongside it.  One driver,
 :func:`_per_chunk`, runs every estimate: it validates the run, derives the
 model parameters once and calls a chunk kernel on each block of
 :data:`CHUNK_SLOTS` slots.  The chunks run in parallel on a thread pool
-that lives for the one call, and the driver returns their results in block
-order.  The estimators only reduce that list, so a new estimator inherits
-the contract unchanged.
+that lives for the one call, a bounded window of them at a time, and the
+driver returns their results in block order.  The estimators only reduce
+that list, so a new estimator inherits the contract unchanged.  One draw
+loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
+source-to-surface and eavesdropper streams piece by piece and hands each
+piece's element powers and eavesdropper SNR to the kernel, which draws only
+its own surface-to-user links and scores the slots.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,6 +57,7 @@ _TAG_EAV = 3  # eavesdropper combining draw
 _TAG_EAV_SR = 4  # fresh source-to-surface powers (independent mode only)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_WINDOW = 2  # chunks queued or running per pool thread
 
 #: Strong (best) user's power fraction in the NOMA pair: the largest point
 #: G / (2(G+1)), G = 99, of the split grid i / (2(G+1)) that keeps the weak
@@ -105,89 +111,80 @@ def _wilson(outages: int, trials: int) -> McEstimate:
     )
 
 
-# ---------------------------------------------------------------------------
-# Vectorized chunk kernels.
-#
-# These apply two exact distributional reductions to cut the per-slot draw
-# count (no approximation is involved; both follow from the rotation
-# invariance of circularly-symmetric Gaussians):
-#   * the source-surface phases cancel everywhere, so only the per-element
-#     amplitudes (root-exponential powers) are drawn;
-#   * conditioned on everything else, the eavesdropper's combined channel is
-#     complex Gaussian with power proportional to the summed source-surface
-#     element powers, so its SNR is one exponential draw times that sum
-#     (or times a fresh gamma-distributed sum in independent mode).
-# The surface-to-user coefficients stay fully complex for the NOMA kernel
-# because the worst-user selection couples their amplitudes and phases.
-#
-# A kernel creates its chunk's generators once and reads them in pieces of
-# at most _PIECE_SLOTS slots whose largest array fits in _PIECE_BYTES, so
-# its working set stays a few MB whatever the chunk size, n_elements and
-# n_users.  Larger pieces also leave larger freed blocks in each thread's
-# malloc arena, and the peak RSS of a run then depends on which threads
-# happen to run which kernels.  Every quantity is per slot, and a Philox
-# stream read piece after piece yields the same values as one whole-chunk
-# draw, so the pieces leave every draw and every count bit-identical.
-# ---------------------------------------------------------------------------
-
 #: Most slots per piece a kernel draws and reduces at a time.
 _PIECE_SLOTS = 2048
 #: Most bytes in a piece's largest array.
 _PIECE_BYTES = 4 << 20
 
 
-def _pieces(size, slot_bytes):
-    """Slot counts of the successive pieces of a ``size``-slot chunk whose
-    largest array takes ``slot_bytes`` bytes per slot."""
-    step = max(1, min(_PIECE_SLOTS, _PIECE_BYTES // slot_bytes))
-    return (min(step, size - start) for start in range(0, size, step))
+def _slots(cfg, p, seed, block, size, independent, slot_bytes):
+    """Each piece's ``(g_sr, gamma_e)`` of a ``size``-slot chunk: the
+    source-to-surface element powers and the eavesdropper SNR.
 
+    Every kernel draws through this generator and keeps only its own
+    surface-to-user stream.  It applies two exact distributional reductions
+    that cut the per-slot draw count (no approximation is involved; both
+    follow from the rotation invariance of circularly-symmetric Gaussians):
 
-def _eav_snr(p, seed, block, independent):
-    """The chunk's eavesdropper SNR as a function of each piece's
-    source-to-surface powers, reading the chunk's eavesdropper streams."""
-    eav = _rng(seed, block, _TAG_EAV)
+    * the source-surface phases cancel everywhere, so only the per-element
+      amplitudes (root-exponential powers) are drawn;
+    * conditioned on everything else, the eavesdropper's combined channel is
+      complex Gaussian with power proportional to the summed source-surface
+      element powers, so its SNR is one exponential draw times that sum (or
+      times a fresh gamma-distributed sum in independent mode).
+
+    The chunk's generators are created once and read in pieces of at most
+    :data:`_PIECE_SLOTS` slots whose largest array, ``slot_bytes`` per slot
+    in the calling kernel, fits in :data:`_PIECE_BYTES`, so a kernel's
+    working set stays a few MB whatever the chunk size, ``n_elements`` and
+    ``n_users``.  Larger pieces also leave larger freed blocks in each
+    thread's malloc arena, and the peak RSS of a run then depends on which
+    threads happen to run which kernels.  Every quantity is per slot, and a
+    Philox stream read piece after piece yields the same values as one
+    whole-chunk draw, so the pieces leave every draw and every count
+    bit-identical.
+    """
+    n = cfg.n_elements
+    sr, eav = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_EAV)
     eav_sr = _rng(seed, block, _TAG_EAV_SR) if independent else None
+    step = max(1, min(_PIECE_SLOTS, _PIECE_BYTES // slot_bytes))
+    for start in range(0, size, step):
+        k = min(step, size - start)
+        g_sr = sr.standard_exponential((k, n))
+        s = eav_sr.standard_gamma(n, size=k) if independent else g_sr.sum(axis=1)
+        yield g_sr, p.gamma0 * p.zeta_re * (p.zeta_sr * s) * eav.standard_exponential(k)
 
-    def snr(g_sr_powers):
-        size, n = g_sr_powers.shape
-        if independent:
-            s2 = p.zeta_sr * eav_sr.standard_gamma(n, size=size)
-        else:
-            s2 = p.zeta_sr * g_sr_powers.sum(axis=1)
-        return p.gamma0 * p.zeta_re * s2 * eav.standard_exponential(size)
 
-    return snr
+def _ous_outages(p, gamma, gamma_e) -> int:
+    """How many slots the full-power scheduled SNR ``gamma`` leaves in outage."""
+    return int(np.count_nonzero(gamma < p.rho * gamma_e + p.offset))
 
 
 def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
     n, m = cfg.n_elements, cfg.n_users
-    sr, rd = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_DEST_RD)
-    eav_snr = _eav_snr(p, seed, block, independent)
+    rd = _rng(seed, block, _TAG_DEST_RD)
     outages = 0
-    for k in _pieces(size, 8 * n * m):  # g_rd
-        g_sr = sr.standard_exponential((k, n))
-        g_rd = rd.standard_exponential((k, n, m))
+    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, 8 * n * m):
+        g_rd = rd.standard_exponential((len(g_sr), n, m))
         np.sqrt(g_rd, out=g_rd)
         sums = np.matmul(np.sqrt(g_sr)[:, None, :], g_rd)[:, 0, :]
-        best = sums.max(axis=1)
-        gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * best**2
-        gamma_e = eav_snr(g_sr)
-        outages += int(np.count_nonzero(gamma_d < p.rho * gamma_e + p.offset))
+        gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * sums.max(axis=1) ** 2
+        outages += _ous_outages(p, gamma_d, gamma_e)
     return outages
 
 
 def _noma_chunk(cfg, p, seed, block, size, independent):
     # Decoding order everywhere (eavesdropper included): weak-user message
     # first, treating the strong user's signal as interference; the strong
-    # user cancels it before decoding its own.
+    # user cancels it before decoding its own.  The surface-to-user
+    # coefficients stay fully complex because the worst-user selection
+    # couples their amplitudes and phases.
     n, m = cfg.n_elements, cfg.n_users
-    sr, rd = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_DEST_RD)
-    eav_snr = _eav_snr(p, seed, block, independent)
+    rd = _rng(seed, block, _TAG_DEST_RD)
     a = NOMA_A_BU
     bu_out = wu_out = ous_out = 0
-    for k in _pieces(size, 16 * n * m):  # complex h_rd
-        g_sr = sr.standard_exponential((k, n))
+    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, 16 * n * m):
+        k = len(g_sr)
         sr_amp = np.sqrt(p.zeta_sr * g_sr)
         # The last axis holds (real, imaginary) pairs: view them as complex.
         h_rd = rd.standard_normal((k, n, m, 2)).view(np.complex128)[..., 0]
@@ -203,7 +200,6 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
         gamma_all[rows, bu] = np.inf
         wu = np.argmin(gamma_all, axis=1)
         gamma_wu = gamma_all[rows, wu]
-        gamma_e = eav_snr(g_sr)
 
         cs_bu = np.log2(1.0 + a * gamma_bu) - np.log2(1.0 + a * gamma_e)
         cs_wu = np.log2(1.0 + (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)) - np.log2(
@@ -215,19 +211,13 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
         wu_out += int(np.count_nonzero(cs_wu < cfg.r_th))
         # Full-power outcome of the same realizations: the opportunistic
         # scheme on identical draws, for paired scheme comparisons.
-        ous_out += int(np.count_nonzero(gamma_bu < p.rho * gamma_e + p.offset))
+        ous_out += _ous_outages(p, gamma_bu, gamma_e)
     return bu_out, wu_out, ous_out
 
 
 def _gamma_e_chunk(cfg, p, seed, block, size, independent):
-    sr = _rng(seed, block, _TAG_DEST_SR)
-    eav_snr = _eav_snr(p, seed, block, independent)
-    return np.concatenate(
-        [
-            eav_snr(sr.standard_exponential((k, cfg.n_elements)))
-            for k in _pieces(size, 8 * cfg.n_elements)
-        ]
-    )
+    slots = _slots(cfg, p, seed, block, size, independent, 8 * cfg.n_elements)
+    return np.concatenate([gamma_e for _, gamma_e in slots])
 
 
 def _usable_cpus() -> int:
@@ -254,6 +244,9 @@ def _per_chunk(kernel, cfg, trials, seed, mode) -> list:
     ``sqrt`` and ``matmul`` release the GIL, so they run in parallel.  The
     pool lives for this call only, so no thread outlives an estimate (a
     forked child would inherit a module-level pool without its threads).
+    At most :data:`_WINDOW` chunks per thread are queued or running at a
+    time, a sliding window over the blocks, so the driver's own memory does
+    not grow with ``trials`` and no thread waits for a batch to drain.
     """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -269,8 +262,19 @@ def _per_chunk(kernel, cfg, trials, seed, mode) -> list:
         size = min(CHUNK_SLOTS, trials - block * CHUNK_SLOTS)
         return kernel(cfg, p, seed, block, size, independent)
 
-    with ThreadPoolExecutor(min(_usable_cpus(), len(blocks))) as pool:
-        return list(pool.map(run, blocks))
+    workers = min(_usable_cpus(), len(blocks))
+    results, window = [], deque()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for block in blocks:
+                window.append(pool.submit(run, block))
+                if len(window) == _WINDOW * workers:
+                    results.append(window.popleft().result())
+            results.extend(future.result() for future in window)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
 
 
 def estimate_sop(
@@ -280,7 +284,11 @@ def estimate_sop(
     seed: int,
     mode: str = "physical",
 ) -> McEstimate:
-    """Monte Carlo SOP estimate for one scheme at one operating point."""
+    """Monte Carlo SOP estimate for one scheme at one operating point.
+
+    A NOMA scheme runs the whole paired pass of
+    :func:`estimate_schemes_paired` and returns its scheme's estimate.
+    """
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme != "OUS":

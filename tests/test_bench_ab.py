@@ -41,6 +41,18 @@ def test_output_without_a_result_is_an_incorrect_run():
     assert result == {"correct": False, "failed": None, "metrics": {}}
 
 
+def test_a_run_keeps_its_exit_code_and_last_stderr_line():
+    machine, fields = bench_ab.outcome(0, _stdout(250.0, 0.4), "")
+    assert machine == {"nproc": 2, "git_sha": "unknown"}
+    assert fields["exit_code"] == 0 and fields["stderr_tail"] is None
+    assert fields["result"]["correct"] is True
+    crash = "Traceback (most recent call last):\n  File \"run.py\"\nMemoryError\n\n"
+    machine, fields = bench_ab.outcome(-9, "", crash)
+    assert machine is None
+    assert fields == {"exit_code": -9, "stderr_tail": "MemoryError",
+                      "result": {"correct": False, "failed": None, "metrics": {}}}
+
+
 def test_seed_range_and_alternating_order():
     assert bench_ab.parse_seeds("41-45") == [41, 42, 43, 44, 45]
     assert bench_ab.parse_seeds("7") == [7]

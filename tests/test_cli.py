@@ -96,6 +96,8 @@ class TestParseConfig:
              "invalid sweep axis 'd_re' value -5: d_re must be positive, got -5.0"),
             ({"axes": (("gamma0_db", (0.0,) * 1001), ("n_elements", (1,) * 1001))},
              "grid has 1002001 points, cap is 1000000"),
+            ({"schemes": ("OUS", "NOMA_WU"), "evaluators": ("closed", "quad_exact")},
+             "no requested evaluator serves scheme 'NOMA_WU'; only 'mc' does"),
         ],
     )
     def test_every_spec_checks_trials_and_seed(self, change, message):
@@ -361,11 +363,14 @@ class TestMain:
             ('{"base": {"d_re": %s}}' % ("1" * 5000), "malformed JSON"),
             ('{"evaluators": [[1]]}', "unknown evaluator [1]"),
             ('{"schemes": [{}]}', "unknown scheme {}"),
+            ('{"schemes": ["NOMA_BU"], "evaluators": ["closed"]}',
+             "no requested evaluator serves scheme 'NOMA_BU'"),
         ],
         ids=["axis-negative", "axis-nan", "axis-inf", "axis-minus-inf",
              "base-nan", "base-inf", "base-minus-inf", "base-huge-float-field",
              "axis-huge-float-field", "base-huge-int-field", "axis-huge-int-field",
-             "digit-limit", "evaluator-unhashable", "scheme-unhashable"],
+             "digit-limit", "evaluator-unhashable", "scheme-unhashable",
+             "scheme-unserved"],
     )
     def test_every_subcommand_rejects_bad_values(
         self, tmp_path, capsys, document, message

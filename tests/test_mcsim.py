@@ -3,6 +3,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -208,6 +209,23 @@ class TestChunkPieces:
         assert outages > 0
         assert estimate_sop(CFG, "OUS", trials, 7, mode).outages == outages
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_counts_do_not_depend_on_the_piece_size(self, mode, monkeypatch):
+        # 1,000 slots divides neither CHUNK_SLOTS nor either kernel's default
+        # piece (2,048 and 1,365 slots here), so every piece boundary moves.
+        trials = 35_000
+
+        def counts():
+            paired = estimate_schemes_paired(CFG, trials, 7, mode)
+            ous = estimate_sop(CFG, "OUS", trials, 7, mode)
+            return ous.outages, {scheme: e.outages for scheme, e in paired.items()}
+
+        default = counts()
+        assert default[0] > 0 and all(default[1].values())
+        monkeypatch.setattr(mcsim, "_PIECE_SLOTS", 1000)
+        assert CHUNK_SLOTS % mcsim._PIECE_SLOTS
+        assert counts() == default
+
     @pytest.mark.parametrize("kernel", ["_ous_chunk", "_noma_chunk"])
     @pytest.mark.parametrize("n_users", [3, 8])
     def test_piece_working_set_is_capped(self, kernel, n_users):
@@ -270,6 +288,39 @@ class TestThreadedDriver:
         monkeypatch.setattr(mcsim, "_ous_chunk", failing)
         with pytest.raises(_KernelFailure):
             estimate_sop(CFG, "OUS", 3 * CHUNK_SLOTS, seed=1)
+
+    def test_queued_chunks_stay_within_a_window(self, monkeypatch):
+        # Queueing every chunk up front would make the driver's memory grow
+        # with trials; a no-op kernel makes the queue the only cost.
+        lock = threading.Lock()
+        live, peak, pools = [0], [0], []
+
+        def finished(future):
+            with lock:
+                live[0] -= 1
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(max_workers)
+
+            def submit(self, fn, *args, **kwargs):
+                with lock:
+                    live[0] += 1
+                    peak[0] = max(peak[0], live[0])
+                future = super().submit(fn, *args, **kwargs)
+                future.add_done_callback(finished)
+                return future
+
+        def noop(cfg, p, seed, block, size, independent):
+            return block
+
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", CountingPool)
+        blocks = 1000
+        got = mcsim._per_chunk(noop, CFG, blocks * CHUNK_SLOTS, 1, "physical")
+        assert got == list(range(blocks))
+        assert pools == [min(mcsim._usable_cpus(), blocks)]
+        assert peak[0] <= mcsim._WINDOW * pools[0]
 
     def test_concurrent_estimates_get_the_serial_result(self):
         cfg = SystemConfig(n_elements=16, n_users=3, gamma0_db=10.0, r_th=0.05)

@@ -11,7 +11,8 @@ of ``--seeds``, that seed on both sides; the side that runs first
 alternates, the parent first in each workload's first pair.  The file holds
 every run's result line and, per workload and end-to-end metric, each side's
 median and quartiles and the number of pairs the change won (ties count for
-neither side).
+neither side).  Each run keeps its exit code and the last line of its
+standard error beside its result line.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ def parse_output(stdout: str) -> tuple[dict | None, dict]:
         elif "metrics" in obj:
             result = obj
     return machine, result
+
+
+def outcome(exit_code: int, stdout: str, stderr: str) -> tuple[dict | None, dict]:
+    """(machine block, ``runs`` entry fields) of one finished ``bench/run.py``.
+
+    The fields hold the run's exit code and the last line it wrote to
+    standard error besides its result, so a crashed run names its cause.
+    """
+    machine, result = parse_output(stdout)
+    lines = stderr.rstrip().splitlines()
+    tail = lines[-1] if lines else None
+    return machine, {"exit_code": exit_code, "stderr_tail": tail, "result": result}
 
 
 def _spread(values: list[float]) -> dict:
@@ -130,7 +143,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float):
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         capture_output=True, text=True, cwd=tree,
     )
-    return parse_output(done.stdout)
+    return outcome(done.returncode, done.stdout, done.stderr)
 
 
 def main(argv=None) -> int:
@@ -156,13 +169,14 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             for seed, sides in zip(seeds, run_order(len(seeds))):
                 for side in sides:
-                    seen, result = _run(trees[side], workload, seed, seconds)
+                    seen, fields = _run(trees[side], workload, seed, seconds)
                     machine = machine or seen
                     runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "result": result})
-                    values = {k: v["value"] for k, v in result["metrics"].items()}
-                    print(f"{workload} seed {seed} {side}: {json.dumps(values)}",
-                          file=sys.stderr)
+                                 **fields})
+                    metrics = fields["result"]["metrics"]
+                    values = {k: v["value"] for k, v in metrics.items()}
+                    print(f"{workload} seed {seed} {side}: exit {fields['exit_code']} "
+                          f"{json.dumps(values)}", file=sys.stderr)
     finally:
         for tree in trees.values():
             shutil.rmtree(tree, ignore_errors=True)
