@@ -6,7 +6,11 @@ shape ``int f(x) dx`` with ``f`` dominated by ``exp(-x / lambda) / lambda``,
 so the driver substitutes ``x = lambda * u``, truncates where the exponential
 tail mass ``exp(-u)`` drops below 1e-15 and below the relative tolerance of
 the value, and refines worst-first with a 15-point Gauss-Kronrod rule until
-the accumulated error estimate meets the relative tolerance.  Every integral,
+the accumulated error estimate meets the relative tolerance.  The panels a
+span is first cut into, and the two halves of each split, are evaluated with
+one integrand call on all of their nodes; each panel's Gauss and Kronrod sums
+are still its own 15-element dot products, so the values are bit for bit
+those of one call per panel.  Every integral,
 the SOP quadratures and any other caller's alike, runs at the one tolerance
 :data:`SOP_REL_TOL` within the one budget :data:`SOP_MAX_SUBDIVISIONS`.
 Known integrand kinks can be declared as explicit panel boundaries, which
@@ -88,13 +92,23 @@ class QuadResult(NamedTuple):
     subdivisions: int
 
 
-def _panel(g, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = g(mid + half * _NODES)
-    k = half * float(np.dot(_WK, y))
-    gauss = half * float(np.dot(_WG, y))
-    return k, abs(k - gauss)
+def _panels(g, bounds) -> list[tuple[float, float]]:
+    """(Kronrod value, |Kronrod - Gauss|) of each panel between consecutive
+    ``bounds``, from one call of ``g`` on all of their nodes.
+
+    Each panel keeps its own 15-element dot products: a batched reduction
+    (``y @ _WK``) rounds differently from the per-panel ddot.
+    """
+    edges = np.asarray(bounds, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    y = g((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+    out = []
+    for h, row in zip(half.tolist(), y):
+        k = h * float(np.dot(_WK, row))
+        gauss = h * float(np.dot(_WG, row))
+        out.append((k, abs(k - gauss)))
+    return out
 
 
 def integrate_semi_infinite(
@@ -107,11 +121,14 @@ def integrate_semi_infinite(
 ) -> QuadResult:
     """Integrate ``integrand`` from ``lower`` to ``upper``.
 
-    ``integrand`` must map an ndarray of abscissae elementwise.
-    ``lambda_scale`` is the decay scale of the dominating exponential; it
-    normalizes the abscissa before adaptive refinement so that panels behave
-    uniformly across transmit-SNR sweeps spanning 100+ dB.  ``breakpoints``
-    lists interior abscissae that become initial panel boundaries.
+    ``integrand`` is called once per span and once per split, each time on
+    the nodes of several panels in one 1-D array.  It must map that array
+    elementwise: a node's value may depend neither on the array's length nor
+    on the other nodes.  ``lambda_scale`` is the decay scale of the
+    dominating exponential; it normalizes the abscissa before adaptive
+    refinement so that panels behave uniformly across transmit-SNR sweeps
+    spanning 100+ dB.  ``breakpoints`` lists interior abscissae that become
+    initial panel boundaries.
 
     ``upper`` of None means "integrate to the exponential cut-off": the
     integrand must then be bounded by ``exp(-x / lambda_scale) /
@@ -119,14 +136,25 @@ def integrate_semi_infinite(
     variable is at most ``exp(-u_hi)``.  The cut-off starts at
     :data:`TAIL_CUTOFF` and moves out until that bound is at most half the
     tolerance; the stopping rule and the reported error count it together
-    with the panels' error estimates.
+    with the panels' error estimates.  A non-finite ``lambda_scale``,
+    ``lower`` or ``upper`` raises DomainError.
     """
-    if lambda_scale <= 0:
-        raise DomainError(f"lambda_scale must be positive, got {lambda_scale}")
-    if lower < 0:
-        raise DomainError(f"lower bound must be >= 0, got {lower}")
+    if not 0 < lambda_scale < math.inf:
+        raise DomainError(
+            f"lambda_scale must be positive and finite, got {lambda_scale}"
+        )
     lo = lower / lambda_scale
     hi = TAIL_CUTOFF if upper is None else upper / lambda_scale
+    if not 0 <= lo < math.inf:
+        raise DomainError(
+            f"lower bound must be finite and >= 0, got {lower} "
+            f"({lo} in units of lambda_scale)"
+        )
+    if not math.isfinite(hi):
+        raise DomainError(
+            f"upper bound must be finite, got {upper} ({hi} in units of "
+            "lambda_scale); upper=None integrates to the exponential cut-off"
+        )
     if hi <= lo:
         return QuadResult(0.0, 0.0, 0)
 
@@ -147,8 +175,7 @@ def integrate_semi_infinite(
         for a, b in zip(edges, edges[1:]):
             pieces = max(1, min(8, int(math.ceil((b - a) / 5.0))))
             bounds.extend(a + (b - a) * (i + 1) / pieces for i in range(pieces))
-        for a, b in zip(bounds, bounds[1:]):
-            val, err = _panel(g, a, b)
+        for a, b, (val, err) in zip(bounds, bounds[1:], _panels(g, bounds)):
             total += val
             total_err += err
             heapq.heappush(heap, (-err, tick, a, b, val, err))
@@ -178,8 +205,7 @@ def integrate_semi_infinite(
             )
         _, _, a, b, val, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        vl, el = _panel(g, a, mid)
-        vr, er = _panel(g, mid, b)
+        (vl, el), (vr, er) = _panels(g, (a, mid, b))
         total += (vl + vr) - val
         total_err += (el + er) - err
         heapq.heappush(heap, (-el, tick, a, mid, vl, el))

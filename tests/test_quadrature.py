@@ -98,6 +98,45 @@ class TestIntegrator:
         with pytest.raises(DomainError):
             integrate_semi_infinite(_pdf, LAM, lower=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"lambda_scale": math.nan}, "lambda_scale must be positive and finite"),
+            ({"lambda_scale": math.inf}, "lambda_scale must be positive and finite"),
+            ({"lower": math.nan}, "lower bound must be finite"),
+            ({"upper": math.nan}, "upper bound must be finite"),
+            ({"upper": math.inf}, "upper=None integrates to the exponential cut-off"),
+        ],
+        ids=["lambda-nan", "lambda-inf", "lower-nan", "upper-nan", "upper-inf"],
+    )
+    def test_non_finite_arguments_refused(self, kwargs, match):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        with pytest.raises(DomainError, match=match):
+            integrate_semi_infinite(f, **{"lambda_scale": 1.0, **kwargs})
+        assert calls == []
+
+    @pytest.mark.parametrize("scale,extensions", [(1.0, 0), (1e-20, 1)])
+    def test_one_integrand_call_per_span_and_split(self, scale, extensions):
+        # At 1e-20 the tail bound exp(-35) exceeds the tolerance, so the
+        # cut-off moves out once and that span is a second presplit call.
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return scale * _pdf(x)
+
+        res = integrate_semi_infinite(f, LAM)
+        assert res.subdivisions == 1
+        assert len(sizes) == 1 + extensions + res.subdivisions
+        assert all(size % 15 == 0 for size in sizes)
+        # The presplit span holds several panels; a split holds two.
+        assert sizes[0] > 15 and sizes[-1] == 30
+
     def test_stall_raises_with_best_estimate(self, monkeypatch):
         def jagged(x):
             return (1.0 + np.sin(200.0 * x)) * _pdf(x)
@@ -272,18 +311,18 @@ class TestDeepTail:
 
         calls = []
         panels = []
-        panel = quadrature._panel
+        batch = quadrature._panels
 
         def counted(*args, **kwargs):
             calls.append(kwargs["breakpoints"])
             return integrate_semi_infinite(*args, **kwargs)
 
-        def counted_panel(*args):
-            panels.append(None)
-            return panel(*args)
+        def counted_panels(g, bounds):
+            panels.extend([None] * (len(bounds) - 1))
+            return batch(g, bounds)
 
         monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
-        monkeypatch.setattr(quadrature, "_panel", counted_panel)
+        monkeypatch.setattr(quadrature, "_panels", counted_panels)
         cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=20.0)
         with pytest.raises(AccuracyError):
             quadrature._sop_quad(derive_clt_params(cfg), cfg.n_users, noisy_q)
