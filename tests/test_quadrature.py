@@ -318,7 +318,7 @@ class TestDeepTail:
             return integrate_semi_infinite(*args, **kwargs)
 
         def counted_panels(g, bounds):
-            panels.extend([None] * (len(bounds) - 1))
+            panels.append(len(bounds) - 1)
             return batch(g, bounds)
 
         monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
@@ -330,4 +330,4 @@ class TestDeepTail:
         # each split then costs two panels.
         [breakpoints] = calls
         initial = 8 * (len(breakpoints) + 1)
-        assert len(panels) <= 2 * SOP_MAX_SUBDIVISIONS + initial
+        assert sum(panels) <= 2 * SOP_MAX_SUBDIVISIONS + initial
