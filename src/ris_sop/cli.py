@@ -9,7 +9,8 @@ All state flows through the config document (environment variables are
 deliberately not consulted), and a sweep's CSV output is byte-identical for
 a given spec and seed irrespective of worker count.
 
-An analytic evaluator is one ``ROUTES`` entry plus one ``SweepRow`` column.
+Every evaluator, Monte Carlo included, is one ``ROUTES`` entry, which names
+the schemes it serves, plus the ``SweepRow`` columns its cells fill.
 """
 
 from __future__ import annotations
@@ -24,25 +25,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from operator import attrgetter
+from typing import Callable
 
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError
-from .mcsim import SCHEMES, estimate_schemes_paired, estimate_sop
+from .mcsim import SCHEMES, McEstimate, estimate_schemes_paired, estimate_sop
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
 
 AXES = ("gamma0_db", "n_elements", "n_users", "d_sr", "d_rd", "d_re", "r_th")
-#: Analytic evaluator -> (CSV column, sop(cfg)).  Each entry looks its
-#: function up in this module at call time, so a patched name is seen.
-ROUTES = {
-    "closed": ("sop_closed", lambda cfg: sop_closed_form(cfg).value),
-    "asymptotic": ("sop_asym", lambda cfg: sop_asymptotic(cfg).sop_simplified),
-    "quad_exact": ("sop_quad_exact", lambda cfg: sop_quad_exact_q(cfg).value),
-    "quad_approx": ("sop_quad_approx", lambda cfg: sop_quad_approx_q(cfg).value),
-}
-EVALUATORS = (*ROUTES, "mc")
 _MAX_GRID = 1_000_000
 #: Probabilities below quadrature/MC resolution are reported as exact zero.
 SOP_FLOOR = 1e-12
@@ -57,7 +51,7 @@ class SweepSpec:
     with a non-empty list of values that ``base`` accepts; a value is stored
     as the field stores it (a float field as float).  No axes sweeps the base
     point alone, stored as a one-value ``gamma0_db`` axis.  Every scheme needs
-    an evaluator that serves it: the analytic routes serve OUS alone.
+    a requested evaluator whose ``ROUTES`` entry serves it.
     """
 
     base: SystemConfig
@@ -78,12 +72,13 @@ class SweepSpec:
                     what = f"unknown {field[:-1]} {name!r}"
                     raise ConfigError(f"{what}; expected subset of {known}")
             object.__setattr__(self, field, tuple(n for n in known if n in given))
-        # The analytic routes serve OUS alone; "mc" serves every scheme.
-        served = SCHEMES if "mc" in self.evaluators else ("OUS",)
+        served = {s for name in self.evaluators for s in ROUTES[name].schemes}
         for scheme in self.schemes:
             if scheme not in served:
+                servers = ", ".join(
+                    repr(name) for name, r in ROUTES.items() if scheme in r.schemes)
                 raise ConfigError(f"no requested evaluator serves scheme {scheme!r}; "
-                                  "only 'mc' does")
+                                  f"only {servers} does")
         trials, seed = self.mc_trials, self.seed
         if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
             raise ConfigError(f"mc_trials must be a positive integer, got {trials!r}")
@@ -240,56 +235,103 @@ def _grid_points(spec: SweepSpec):
         yield dataclasses.replace(spec.base, **dict(zip(names, combo)))
 
 
+@dataclass(frozen=True)
+class Route:
+    """One evaluator.  ``run(spec, cfg, seed)`` maps each scheme it serves to
+    that scheme's own result object at ``cfg``, or to the exception that
+    stopped it; ``cells(result, seed)`` is the ``SweepRow`` fields a result
+    fills, and ``value(result)`` its SOP before the floor."""
+
+    schemes: tuple[str, ...]
+    run: Callable[[SweepSpec, SystemConfig, int], dict]
+    cells: Callable[[object, int], dict]
+    value: Callable[[object], float]
+
+    def ous_sop(self, spec: SweepSpec, cfg: SystemConfig, seed: int) -> float:
+        """The OUS SOP at ``cfg``; the exception that stopped it is raised."""
+        result = self.run(spec, cfg, seed)["OUS"]
+        if isinstance(result, Exception):
+            raise result
+        return self.value(result)
+
+
+def _caught(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        return exc
+
+
+def _analytic(column: str, evaluate, attr: str) -> Route:
+    """An analytic route: it serves OUS alone, and the ``attr`` of
+    ``evaluate(cfg)``'s result is the SOP that fills ``column``."""
+    value = attrgetter(attr)
+    return Route(("OUS",), lambda spec, cfg, seed: {"OUS": _caught(evaluate, cfg)},
+                 lambda result, seed: {column: _floor(value(result))}, value)
+
+
+def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int) -> dict:
+    """One Monte Carlo pass per point.  The paired NOMA pass also counts the
+    OUS outages on its own draws, so NOMA_BU >= OUS holds exactly in every
+    row pair; the OUS estimator runs only when no NOMA scheme is asked for or
+    the pass cannot run (M = 1 has no pair)."""
+    results = {}
+    if spec.schemes != ("OUS",):
+        try:
+            results = estimate_schemes_paired(cfg, spec.mc_trials, seed)
+        except Exception as exc:  # noqa: BLE001 - recorded per row
+            results = {scheme: exc for scheme in SCHEMES if scheme != "OUS"}
+    if "OUS" in spec.schemes and "OUS" not in results:
+        results["OUS"] = _caught(estimate_sop, cfg, "OUS", spec.mc_trials, seed)
+    return results
+
+
+def _mc_cells(est: McEstimate, seed: int) -> dict:
+    return {
+        "sop_mc": _floor(est.sop_hat),
+        "sop_mc_ci_low": _floor(est.ci_low),
+        "sop_mc_ci_high": _floor(est.ci_high),
+        "mc_trials": est.trials,
+        "seed": seed,
+    }
+
+
+#: Evaluator -> Route: the one place that decides which evaluator serves which
+#: scheme.  Each entry looks its functions up in this module at call time, so
+#: a patched name is seen.
+ROUTES = {
+    "closed": _analytic("sop_closed", lambda cfg: sop_closed_form(cfg), "value"),
+    "asymptotic": _analytic(
+        "sop_asym", lambda cfg: sop_asymptotic(cfg), "sop_simplified"),
+    "quad_exact": _analytic(
+        "sop_quad_exact", lambda cfg: sop_quad_exact_q(cfg), "value"),
+    "quad_approx": _analytic(
+        "sop_quad_approx", lambda cfg: sop_quad_approx_q(cfg), "value"),
+    "mc": Route(SCHEMES, _run_mc, _mc_cells, attrgetter("sop_hat")),
+}
+EVALUATORS = tuple(ROUTES)
+
+
 def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[SweepRow]:
-    rows = []
     point_seed = _mix_seed(spec.seed, index)
-    mc_results: dict[str, object] = {}
-    errors: dict[str, list[str]] = {s: [] for s in spec.schemes}
-    if "mc" in spec.evaluators:
-        # One Monte Carlo pass per point.  The paired NOMA pass also counts
-        # the OUS outages on its own draws, so NOMA_BU >= OUS holds exactly
-        # in every row pair; the OUS estimator runs only when no NOMA scheme
-        # is asked for or the pass cannot run (M = 1 has no pair).
-        if spec.schemes != ("OUS",):
-            try:
-                mc_results = estimate_schemes_paired(cfg, spec.mc_trials, point_seed)
-            except Exception as exc:  # noqa: BLE001 - recorded per row
-                for s in spec.schemes:
-                    if s != "OUS":
-                        errors[s].append(f"mc: {exc}")
-        if "OUS" in spec.schemes and not mc_results:
-            try:
-                mc_results["OUS"] = estimate_sop(cfg, "OUS", spec.mc_trials, point_seed)
-            except Exception as exc:  # noqa: BLE001
-                errors["OUS"].append(f"mc: {exc}")
-
-    analytic_cols: dict[str, float] = {}
-    if "OUS" in spec.schemes:
-        for name in spec.evaluators:
-            if name == "mc":
-                continue
-            column, sop = ROUTES[name]
-            try:
-                analytic_cols[column] = _floor(sop(cfg))
-            except Exception as exc:  # noqa: BLE001
-                errors["OUS"].append(f"{name}: {exc}")
-
-    for scheme in spec.schemes:
-        row = SweepRow(
-            scheme=scheme,
-            **{axis: getattr(cfg, axis) for axis in AXES},
-            **(analytic_cols if scheme == "OUS" else {}),
-        )
-        est = mc_results.get(scheme)
-        if est is not None:
-            row.sop_mc = _floor(est.sop_hat)
-            row.sop_mc_ci_low = _floor(est.ci_low)
-            row.sop_mc_ci_high = _floor(est.ci_high)
-            row.mc_trials = est.trials
-            row.seed = point_seed
-        row.error = "; ".join(errors[scheme]) or None
-        rows.append(row)
-    return rows
+    cells: dict[str, dict] = {scheme: {} for scheme in spec.schemes}
+    errors: dict[str, list[str]] = {scheme: [] for scheme in spec.schemes}
+    for name in spec.evaluators:
+        route = ROUTES[name]
+        if set(route.schemes).isdisjoint(spec.schemes):
+            continue  # it serves none of the requested schemes
+        results = route.run(spec, cfg, point_seed)
+        for scheme in spec.schemes:
+            result = results.get(scheme)
+            if isinstance(result, Exception):
+                errors[scheme].append(f"{name}: {result}")
+            elif result is not None:
+                cells[scheme].update(route.cells(result, point_seed))
+    axes = {axis: getattr(cfg, axis) for axis in AXES}
+    return [
+        SweepRow(scheme=s, **axes, **cells[s], error="; ".join(errors[s]) or None)
+        for s in spec.schemes
+    ]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
@@ -370,8 +412,10 @@ def _run_oracle(spec: SweepSpec, out=None) -> int:
             f"point {index} gamma0_db={cfg.gamma0_db} N={cfg.n_elements} "
             f"M={cfg.n_users}"
         )
+        seed = _mix_seed(spec.seed, index)
         try:
-            values = {name: ROUTES[name][1](cfg) for name in _ORACLE_ROUTES}
+            values = {
+                name: ROUTES[name].ous_sop(spec, cfg, seed) for name in _ORACLE_ROUTES}
         except PACKAGE_ERRORS as exc:
             failures += 1
             print(f"{where}: {type(exc).__name__}: {exc} -> FAIL", file=out)

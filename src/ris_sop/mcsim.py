@@ -156,8 +156,15 @@ def _slots(cfg, p, seed, block, size, independent, slot_bytes):
 
 
 def _ous_outages(p, gamma, gamma_e) -> int:
-    """How many slots the full-power scheduled SNR ``gamma`` leaves in outage."""
-    return int(np.count_nonzero(gamma < p.rho * gamma_e + p.offset))
+    """How many slots the full-power scheduled SNR ``gamma`` leaves in outage.
+
+    Where ``rho * gamma_e`` overflows, the threshold is past every finite SNR
+    and the slot is in outage for certain, so inf is the right limit and the
+    overflow is not reported.  The errstate is numpy's per-thread state, so
+    it is set here, in the chunk's own thread.
+    """
+    with np.errstate(over="ignore"):
+        return int(np.count_nonzero(gamma < p.rho * gamma_e + p.offset))
 
 
 def _ous_chunk(cfg, p, seed, block, size, independent) -> int:

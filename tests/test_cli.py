@@ -6,8 +6,11 @@ import pytest
 
 from ris_sop import cli, mcsim
 from ris_sop.cli import (
+    AXES,
     CSV_HEADER,
     EVALUATORS,
+    ROUTES,
+    SweepRow,
     SweepSpec,
     emit_csv,
     main,
@@ -195,6 +198,21 @@ class TestRunSweep:
         (row,) = run_sweep(spec)
         assert row.error is not None and "mc" in row.error
         assert row.sop_mc is None
+
+    def test_every_result_column_comes_from_exactly_one_route(self):
+        spec = parse_config(FAST)
+        filled = []
+        for name, route in ROUTES.items():
+            results = route.run(spec, spec.base, spec.seed)
+            assert set(results) == set(route.schemes), name
+            columns = {tuple(route.cells(result, spec.seed))
+                       for result in results.values()}
+            assert len(columns) == 1, name  # the same cells for every scheme served
+            filled.extend(columns.pop())
+        result_fields = [f.name for f in dataclasses.fields(SweepRow)
+                         if f.name not in (*AXES, "scheme", "error")]
+        assert sorted(filled) == sorted(result_fields)
+        assert EVALUATORS == tuple(ROUTES)
 
     def test_a_raising_point_cancels_the_queued_ones(self, monkeypatch):
         # Ctrl-C arrives as an exception that escapes a point; the sweep

@@ -1,16 +1,16 @@
-"""Every analytic evaluator, anywhere in the validated configuration domain,
-returns a probability in [0, 1] or raises a package error, with no numpy
-warning on the way; every quadrature call converges within its subdivision
-budget, and the closed form agrees with the fitted-Q quadrature it evaluates
-analytically."""
+"""Every evaluator, anywhere in the validated configuration domain, returns a
+probability in [0, 1] or raises a package error, with no numpy warning on the
+way; every quadrature call converges within its subdivision budget, and the
+closed form agrees with the fitted-Q quadrature it evaluates analytically."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ris_sop import quadrature
 from ris_sop.asymptotic import sop_asymptotic_closed
-from ris_sop.cli import ROUTES
-from ris_sop.errors import PACKAGE_ERRORS, DomainError
+from ris_sop.cli import ROUTES, SweepSpec
+from ris_sop.errors import PACKAGE_ERRORS, ContractError, DomainError
+from ris_sop.mcsim import SCHEMES, McEstimate, estimate_schemes_paired, estimate_sop
 from ris_sop.quadrature import (
     SOP_MAX_SUBDIVISIONS,
     integrate_semi_infinite,
@@ -18,27 +18,43 @@ from ris_sop.quadrature import (
 )
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
 
-# The sweep's routes plus the two that only this contract exercises.
+
+def _spec(cfg, schemes=("OUS",), trials=1):
+    return SweepSpec(base=cfg, axes=(), schemes=schemes, evaluators=tuple(ROUTES),
+                     mc_trials=trials, seed=7)
+
+
+def _route_sop(name):
+    """Route ``name``'s OUS probability at ``cfg``, read through the table."""
+    return lambda cfg: ROUTES[name].ous_sop(_spec(cfg), cfg, 0)
+
+
+# The sweep's analytic routes plus the two that only this contract exercises.
 EVALUATORS = {
-    **{name: sop for name, (_column, sop) in ROUTES.items()},
+    **{name: _route_sop(name) for name in ROUTES if name != "mc"},
     "asymptotic_closed": sop_asymptotic_closed,
     "quad_asymptotic": lambda cfg: sop_quad_asymptotic(cfg).value,
 }
 
-# Every SystemConfig field is drawn; r_th reaches 1023, just under the
-# 2^r_th overflow that rho_of refuses.
-configs = st.builds(
-    SystemConfig,
-    gamma0_db=st.floats(-60.0, 150.0),
-    n_elements=st.integers(1, 65536),
-    n_users=st.integers(1, 16),
-    r_th=st.floats(0.01, 1023.0),
-    d_sr=st.floats(1e-3, 1e4),
-    d_rd=st.floats(1e-3, 1e4),
-    d_re=st.floats(1.0, 500.0),
-    z0=st.floats(-50.0, 150.0),
-    upsilon=st.floats(0.5, 8.0),
-)
+
+def system_configs(max_elements):
+    # Every SystemConfig field is drawn; r_th reaches 1023, just under the
+    # 2^r_th overflow that rho_of refuses.
+    return st.builds(
+        SystemConfig,
+        gamma0_db=st.floats(-60.0, 150.0),
+        n_elements=st.integers(1, max_elements),
+        n_users=st.integers(1, 16),
+        r_th=st.floats(0.01, 1023.0),
+        d_sr=st.floats(1e-3, 1e4),
+        d_rd=st.floats(1e-3, 1e4),
+        d_re=st.floats(1.0, 500.0),
+        z0=st.floats(-50.0, 150.0),
+        upsilon=st.floats(0.5, 8.0),
+    )
+
+
+configs = system_configs(65536)
 
 
 @settings(derandomize=True, deadline=2000, max_examples=100)
@@ -120,3 +136,51 @@ def test_evaluators_return_a_probability_or_a_package_error(cfg):
         # r_th=0.01, 130 dB, SOP 2.4e-114).
         if cfg.n_elements >= 16 and approx >= 1e-40:
             assert gap <= 1e-8 * approx, (closed, approx)
+
+
+MC_TRIALS = 1000
+
+
+def _caught(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except PACKAGE_ERRORS as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cfg=system_configs(256))
+# rho * gamma_e overflowed to inf in the OUS outage count, and numpy's
+# "overflow encountered in multiply" stopped both estimators under -W error.
+@example(cfg=SystemConfig(r_th=1000.0, gamma0_db=120.0))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_monte_carlo_returns_an_interval_or_a_package_error(cfg):
+    """Each scheme's Monte Carlo estimate, in both sampling modes, is a Wilson
+    interval inside [0, 1] around its estimate, or a package error; M = 1 has
+    no NOMA pair.  The physical mode runs the sweep's ``mc`` route.
+
+    N is capped at 256 to keep the test within seconds: a NOMA slot draws
+    2 N M normals, and a 1,000-trial paired pass at M = 16 takes about 0.2 s
+    at N = 256 on two cores and grows linearly in N, to about a minute at the
+    domain's N = 65,536.  No kernel changes form with N, which sets only the
+    width of each draw.
+    """
+    spec = _spec(cfg, schemes=SCHEMES, trials=MC_TRIALS)
+    physical = ROUTES["mc"].run(spec, cfg, spec.seed)
+    paired = _caught(estimate_schemes_paired, cfg, MC_TRIALS, spec.seed, "independent")
+    independent = {
+        scheme: paired if isinstance(paired, Exception) else paired[scheme]
+        for scheme in SCHEMES
+    }
+    independent["OUS"] = _caught(
+        estimate_sop, cfg, "OUS", MC_TRIALS, spec.seed, "independent")
+    for mode, results in (("physical", physical), ("independent", independent)):
+        for scheme in SCHEMES:
+            result = results[scheme]
+            if scheme != "OUS" and cfg.n_users == 1:
+                assert isinstance(result, ContractError), (mode, scheme, result)
+            elif isinstance(result, McEstimate):
+                assert result.trials == MC_TRIALS
+                assert 0.0 <= result.ci_low <= result.sop_hat <= result.ci_high <= 1.0
+            else:
+                assert isinstance(result, PACKAGE_ERRORS), (mode, scheme, result)
