@@ -25,7 +25,7 @@ def _spec(cfg, schemes=("OUS",), trials=1):
 
 
 def _route_sop(name):
-    """Route ``name``'s OUS probability at ``cfg``, read through the table."""
+    """``cfg`` -> route ``name``'s OUS probability, read through the table."""
     return lambda cfg: ROUTES[name].ous_sop(_spec(cfg), cfg, 0)
 
 
