@@ -16,7 +16,10 @@ one row of a single left-to-right accumulate.  Each step applies the
 scalar expression elementwise in its original order, with libm ``pow`` and
 ``exp`` where numpy's vector loops round differently, so the sums are bit
 for bit those of a scalar loop over :func:`ris_sop.specfun.multinomial_set`,
-errors included.  The routes report a zero divisor in the term arithmetic,
+errors included, for the parameters ``derive_clt_params`` builds.  (With a
+hand-built negative ``sigma2_d`` or ``lambda_e``, ``np.sqrt`` gives NaN and
+the pass raises ``DomainError`` where the loop raised ``ValueError`` or
+returned a value.)  The routes report a zero divisor in the term arithmetic,
 which the loop raised as ``ZeroDivisionError``, as ``EvaluationError``.
 
 The terms and order sums read the outage threshold's offset from

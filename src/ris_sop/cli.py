@@ -5,9 +5,10 @@ subset of the evaluators, ``validate`` checks a config document and prints
 its canonical form, and ``oracle`` runs the two-tier quadrature cross-checks
 that certify the closed form at the configured grid points.
 
-All state flows through the config document (environment variables are
-deliberately not consulted), and a sweep's CSV output is byte-identical for
-a given spec and seed irrespective of worker count.
+All state flows through the config document, except that ``sweep --trials``
+and ``--seed`` override its ``mc_trials`` and ``seed`` keys; environment
+variables are deliberately not consulted.  A sweep's CSV output is
+byte-identical for a given spec and seed irrespective of worker count.
 
 Every evaluator, Monte Carlo included, is one ``ROUTES`` entry, which names
 the schemes it serves, plus the ``SweepRow`` columns its cells fill.
@@ -156,14 +157,6 @@ class SweepRow:
 #: CSV columns: every SweepRow field in declaration order except ``error``.
 _CSV_FIELDS = tuple(f for f in dataclasses.fields(SweepRow) if f.name != "error")
 CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
-_PARSERS = {"int": int, "str": str}
-
-
-def _parse_field(field: dataclasses.Field, text: str):
-    if text == "" and field.default is None:
-        return None
-    # Annotations are strings here ("float", "int | None", ...).
-    return _PARSERS.get(field.type.split(" |")[0], float)(text)
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
@@ -371,24 +364,6 @@ def emit_csv(table: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> list[SweepRow]:
-    """Inverse of :func:`emit_csv` (the error column is not serialized)."""
-    lines = text.strip().split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ConfigError("unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(_CSV_FIELDS):
-            raise ConfigError(
-                f"expected {len(_CSV_FIELDS)} fields, got {len(parts)}"
-            )
-        rows.append(SweepRow(**{
-            f.name: _parse_field(f, part) for f, part in zip(_CSV_FIELDS, parts)
-        }))
-    return rows
-
-
 #: Oracle tiers, (route, reference, agrees(value, ref)): closed form vs fitted-Q
 #: quadrature; fitted vs exact Q only where exact >= 1e-5 (a NaN exact: skipped).
 _ORACLE_CHECKS = (
@@ -399,13 +374,12 @@ _ORACLE_CHECKS = (
 _ORACLE_ROUTES = tuple(dict.fromkeys(name for c in _ORACLE_CHECKS for name in c[:2]))
 
 
-def _run_oracle(spec: SweepSpec, out=None) -> int:
+def _run_oracle(spec: SweepSpec) -> int:
     """Two-tier cross-check: closed form vs both quadrature routes.
 
     A point whose evaluation raises a package error is reported as a FAIL
     row naming the exception, and the remaining points still run.
     """
-    out = sys.stdout if out is None else out
     failures = 0
     for index, cfg in enumerate(_grid_points(spec)):
         where = (
@@ -418,21 +392,16 @@ def _run_oracle(spec: SweepSpec, out=None) -> int:
                 name: ROUTES[name].ous_sop(spec, cfg, seed) for name in _ORACLE_ROUTES}
         except PACKAGE_ERRORS as exc:
             failures += 1
-            print(f"{where}: {type(exc).__name__}: {exc} -> FAIL", file=out)
+            print(f"{where}: {type(exc).__name__}: {exc} -> FAIL")
             continue
         ok = all(agrees(values[route], values[ref])
                  for route, ref, agrees in _ORACLE_CHECKS)
         failures += 0 if ok else 1
         shown = " ".join(f"{name}={value:.6e}" for name, value in values.items())
-        print(f"{where}: {shown} -> {'PASS' if ok else 'FAIL'}", file=out)
+        print(f"{where}: {shown} -> {'PASS' if ok else 'FAIL'}")
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} points)"
-    print(f"oracle: {verdict}", file=out)
+    print(f"oracle: {verdict}")
     return 0 if failures == 0 else 1
-
-
-def _load_spec(path: str) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def main(argv=None) -> int:
@@ -457,7 +426,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        spec = _load_spec(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            spec = parse_config(fh.read())
         if args.command == "sweep":
             overrides = {"mc_trials": args.trials, "seed": args.seed}
             spec = dataclasses.replace(

@@ -4,10 +4,11 @@ Everything here is pure and reentrant.  The Q-function is evaluated through
 the complementary error function; a log-domain variant is provided so that
 products of the form ``exp(a) * Q(b)`` can be assembled without overflow even
 when ``a`` runs into the thousands (which happens routinely at the extremes
-of a transmit-SNR sweep).  Every Q function works elementwise on arrays, as
-the quadrature integrands and the term sums need, and returns a float for a
-float.  :func:`multinomial_set` lists the compositions of one expansion
-order that the term sums run over.
+of a transmit-SNR sweep).  :func:`log_q` takes one float, as the system
+model calls it; :func:`q_exact`, :func:`q_approx3` and :func:`exp_times_q`
+work elementwise on arrays, as the quadrature integrands and the term sums
+need, and return a float for a float.  :func:`multinomial_set` lists the
+compositions of one expansion order that the term sums run over.
 """
 
 from __future__ import annotations
@@ -76,30 +77,25 @@ def _log_q_left(x):
     return np.log1p(-0.5 * _sp.erfc(x / -_SQRT2))  # one op less than -x / _SQRT2
 
 
-def log_q(x):
-    """Natural log of the Gaussian tail probability, elementwise on arrays.
+def log_q(x: float) -> float:
+    """Natural log of the Gaussian tail probability at one float.
 
     For x >= 0 the scaled complementary error function is used, so the result
     is accurate (relative error well under 1e-12) even for x up to 1e4 where
-    Q(x) itself underflows.  For x < 0 the value is log1p(-Q(-x)).  A float
-    gives a float, by the same operations as each array element; NaN raises
-    DomainError.
+    Q(x) itself underflows.  For x < 0 the value is log1p(-Q(-x)).  Each
+    element of :func:`exp_times_q`'s array path takes the same operations.
+    NaN raises DomainError.
     """
-    if isinstance(x, float):  # sysmodel's scalar calls skip the array path
-        if math.isnan(x):
-            raise DomainError("Q-function argument must not be NaN")
-        return float(_log_q_right(x) if x >= 0 else _log_q_left(x))
-    arr = _asarray_checked(x)
-    with np.errstate(over="ignore"):
-        out = _log_q_array(arr)
-    return out if arr.ndim else float(out)
+    if math.isnan(x):
+        raise DomainError("Q-function argument must not be NaN")
+    return float(_log_q_right(x) if x >= 0 else _log_q_left(x))
 
 
 def _log_q_array(arr: np.ndarray) -> np.ndarray:
     # Each branch sees its own half-line only, 0 elsewhere, so it computes
     # and warns about nothing the result does not keep.  Past |x| = 1.3e154
     # x * x overflows to inf and log Q is -inf, which a float computes
-    # silently: callers silence numpy's overflow warning.
+    # silently: exp_times_q silences numpy's overflow warning.
     return np.where(
         arr >= 0, _log_q_right(np.maximum(arr, 0.0)), _log_q_left(np.minimum(arr, 0.0))
     )

@@ -22,7 +22,7 @@ from ris_sop.analytic import (
     sop_closed_form,
 )
 from ris_sop.asymptotic import sop_asymptotic_closed
-from ris_sop.cli import emit_csv, parse_config, parse_csv, run_sweep
+from ris_sop.cli import emit_csv, parse_config, run_sweep
 from ris_sop.mcsim import estimate_schemes_paired, estimate_sop, sample_gamma_e
 from ris_sop.quadrature import integrate_semi_infinite
 from ris_sop.specfun import Q_APPROX, multinomial_set, q_approx3, q_exact
@@ -60,17 +60,17 @@ def sweep_spec():
 
 
 @pytest.fixture(scope="session")
-def sweep_csv(sweep_spec):
+def sweep_table(sweep_spec):
     start = time.time()
-    text = emit_csv(run_sweep(sweep_spec, workers=1))
+    table = run_sweep(sweep_spec, workers=1)
     print(f"\n[acceptance sweep: {time.time() - start:.0f}s for "
-          f"{text.count(chr(10)) - 1} rows x {TRIALS} trials]")
-    return text
+          f"{len(table)} rows x {TRIALS} trials]")
+    return table
 
 
 @pytest.fixture(scope="session")
-def sweep_table(sweep_csv):
-    return parse_csv(sweep_csv)
+def sweep_csv(sweep_table):
+    return emit_csv(sweep_table)
 
 
 def test_criterion_1_term_algebra_certification():

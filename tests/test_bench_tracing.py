@@ -2,6 +2,8 @@
 so a rename or deletion under ``src/`` must not leave one of them dangling,
 and the sweep must call each evaluator through the name the tracer wraps."""
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 
 from ris_sop.cli import parse_config, run_sweep
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.fixture
@@ -51,3 +54,35 @@ def test_a_traced_monte_carlo_sweep_calls_the_ous_estimator_once_per_point(traci
     index = tracing.SpanIndex(tracer.spans)
     assert index.count("ris_sop.cli.estimate_sop") == 3
     assert index.count("ris_sop.cli._evaluate_point") == 3
+
+
+def _unused_reimports():
+    """(module, name) for each name an ``# noqa: F401`` import under ``src/``
+    binds: a name kept in a module only so that something outside uses it."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        names = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "noqa: F401" in lines[node.end_lineno - 1]
+            for alias in node.names
+        ]
+        if names:
+            parts = path.relative_to(ROOT / "src").with_suffix("").parts
+            module = importlib.import_module(
+                ".".join(part for part in parts if part != "__init__"))
+            found += [(module, name) for name in names]
+    return found
+
+
+def test_every_unused_reimport_is_a_trace_target(tracing):
+    # The bench-only names live in TARGETS, so they go when the bench stops
+    # wrapping them.
+    targets = {(module, attr) for module, attr, _ in tracing.TARGETS}
+    found = _unused_reimports()
+    assert found
+    for module, name in found:
+        assert (module, name) in targets, f"{module.__name__}.{name}"

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ris_sop.errors import CapacityError, DomainError
 from ris_sop.specfun import (
     Q_APPROX,
+    _log_q_array,
     exp_times_q,
     log_q,
     multinomial_set,
@@ -79,24 +80,25 @@ class TestLogQ:
             log_q(float("nan"))
 
     def test_array_matches_scalar_bit_for_bit(self):
+        # exp_times_q's array path takes log Q elementwise by the float's
+        # operations.
         xs = np.concatenate([np.linspace(-40, 40, 2001), [-0.0, 0.0, 1e4, -1e4]])
-        out = log_q(xs.reshape(5, -1))
+        out = _log_q_array(xs.reshape(5, -1))
         assert out.shape == (5, 401)
         assert [v.hex() for v in out.ravel().tolist()] == [
             log_q(x).hex() for x in xs.tolist()
         ]
-        assert type(log_q(np.float64(1.5))) is float
-        assert type(log_q(np.array(1.5))) is float
 
     @pytest.mark.filterwarnings("error")
     def test_huge_array_argument_is_silent_like_a_float(self):
         # x * x overflows past 1.3e154; a float's Python arithmetic is silent.
-        out = log_q(np.array([1e200, 2.0]))
-        assert out.tolist() == [log_q(1e200), log_q(2.0)] and out[0] == -math.inf
+        assert log_q(1e200) == -math.inf
+        out = exp_times_q(np.zeros(2), np.array([1e200, 2.0]))
+        assert out[0] == 0.0 and out[1] == pytest.approx(q_exact(2.0), rel=1e-14)
 
     def test_nan_in_an_array_rejected(self):
         with pytest.raises(DomainError, match="must not be NaN"):
-            log_q(np.array([0.0, float("nan"), 1.0]))
+            exp_times_q(np.zeros(3), np.array([0.0, float("nan"), 1.0]))
 
 
 class TestQApprox3:
