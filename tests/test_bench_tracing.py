@@ -3,7 +3,6 @@ so a rename or deletion under ``src/`` must not leave one of them dangling,
 and the sweep must call each evaluator through the name the tracer wraps."""
 
 import ast
-import importlib
 import importlib.util
 import sys
 from pathlib import Path
