@@ -32,7 +32,8 @@ from typing import Callable
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError
-from .mcsim import SCHEMES, McEstimate, estimate_schemes_paired, estimate_sop
+from .mcsim import (SCHEMES, McEstimate, _usable_cpus, estimate_schemes_paired,
+                    estimate_sop)
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
@@ -230,13 +231,15 @@ def _grid_points(spec: SweepSpec):
 
 @dataclass(frozen=True)
 class Route:
-    """One evaluator.  ``run(spec, cfg, seed)`` maps each scheme it serves to
-    that scheme's own result object at ``cfg``, or to the exception that
-    stopped it; ``cells(result, seed)`` is the ``SweepRow`` fields a result
-    fills, and ``value(result)`` its SOP before the floor."""
+    """One evaluator.  ``run(spec, cfg, seed, executor=None)`` maps each scheme
+    it serves to that scheme's own result object at ``cfg``, or to the
+    exception that stopped it; a route that runs Monte Carlo chunks runs them
+    on ``executor`` when one is given.  ``cells(result, seed)`` is the
+    ``SweepRow`` fields a result fills, and ``value(result)`` its SOP before
+    the floor."""
 
     schemes: tuple[str, ...]
-    run: Callable[[SweepSpec, SystemConfig, int], dict]
+    run: Callable[..., dict]
     cells: Callable[[object, int], dict]
     value: Callable[[object], float]
 
@@ -248,9 +251,9 @@ class Route:
         return self.value(result)
 
 
-def _caught(evaluate, *args):
+def _caught(evaluate, *args, **kwargs):
     try:
-        return evaluate(*args)
+        return evaluate(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         return exc
 
@@ -259,23 +262,26 @@ def _analytic(column: str, evaluate, attr: str) -> Route:
     """An analytic route: it serves OUS alone, and the ``attr`` of
     ``evaluate(cfg)``'s result is the SOP that fills ``column``."""
     value = attrgetter(attr)
-    return Route(("OUS",), lambda spec, cfg, seed: {"OUS": _caught(evaluate, cfg)},
+    return Route(("OUS",),
+                 lambda spec, cfg, seed, executor=None: {"OUS": _caught(evaluate, cfg)},
                  lambda result, seed: {column: _floor(value(result))}, value)
 
 
-def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int) -> dict:
-    """One Monte Carlo pass per point.  The paired NOMA pass also counts the
-    OUS outages on its own draws, so NOMA_BU >= OUS holds exactly in every
-    row pair; the OUS estimator runs only when no NOMA scheme is asked for or
-    the pass cannot run (M = 1 has no pair)."""
+def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dict:
+    """One Monte Carlo pass per point, its chunks on ``executor``.  The paired
+    NOMA pass also counts the OUS outages on its own draws, so NOMA_BU >= OUS
+    holds exactly in every row pair; the OUS estimator runs only when no NOMA
+    scheme is asked for or the pass cannot run (M = 1 has no pair)."""
     results = {}
     if spec.schemes != ("OUS",):
         try:
-            results = estimate_schemes_paired(cfg, spec.mc_trials, seed)
+            results = estimate_schemes_paired(
+                cfg, spec.mc_trials, seed, executor=executor)
         except Exception as exc:  # noqa: BLE001 - recorded per row
             results = {scheme: exc for scheme in SCHEMES if scheme != "OUS"}
     if "OUS" in spec.schemes and "OUS" not in results:
-        results["OUS"] = _caught(estimate_sop, cfg, "OUS", spec.mc_trials, seed)
+        results["OUS"] = _caught(
+            estimate_sop, cfg, "OUS", spec.mc_trials, seed, executor=executor)
     return results
 
 
@@ -305,7 +311,9 @@ ROUTES = {
 EVALUATORS = tuple(ROUTES)
 
 
-def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[SweepRow]:
+def _evaluate_point(
+    spec: SweepSpec, index: int, cfg: SystemConfig, *, executor: ThreadPoolExecutor
+) -> list[SweepRow]:
     point_seed = _mix_seed(spec.seed, index)
     cells: dict[str, dict] = {scheme: {} for scheme in spec.schemes}
     errors: dict[str, list[str]] = {scheme: [] for scheme in spec.schemes}
@@ -313,7 +321,7 @@ def _evaluate_point(spec: SweepSpec, index: int, cfg: SystemConfig) -> list[Swee
         route = ROUTES[name]
         if set(route.schemes).isdisjoint(spec.schemes):
             continue  # it serves none of the requested schemes
-        results = route.run(spec, cfg, point_seed)
+        results = route.run(spec, cfg, point_seed, executor=executor)
         for scheme in spec.schemes:
             result = results.get(scheme)
             if isinstance(result, Exception):
@@ -332,17 +340,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
 
     Per-row evaluator failures are recorded on the row and the sweep keeps
     going.  Results are deterministic for a given spec regardless of
-    ``workers``.  An exception that escapes a point, Ctrl-C included, stops
-    the sweep once the points already running finish: ``map``'s iterator
-    cancels the queued ones.
+    ``workers``.  ``workers`` threads evaluate whole points, and every Monte
+    Carlo chunk of every point runs on one pool sized to the usable CPUs, so
+    at most that many chunk kernels run at once at any ``workers``.  Both
+    pools live for this call only (see ``mcsim._per_chunk`` on forking).  An
+    exception that escapes a point, Ctrl-C included, stops the sweep once
+    the points already running finish: ``map``'s iterator cancels the queued
+    ones, and the chunk pool outlives the point threads, so those points can
+    still finish.
     """
     points = list(_grid_points(spec))
-    evaluate = partial(_evaluate_point, spec)
-    if workers <= 1:
-        nested = list(map(evaluate, range(len(points)), points))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(evaluate, range(len(points)), points))
+    with ThreadPoolExecutor(_usable_cpus()) as chunks:
+        evaluate = partial(_evaluate_point, spec, executor=chunks)
+        if workers <= 1:
+            nested = list(map(evaluate, range(len(points)), points))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                nested = list(pool.map(evaluate, range(len(points)), points))
     return [row for group in nested for row in group]
 
 
@@ -436,7 +450,7 @@ def main(argv=None) -> int:
             # Fail before the grid runs, not after; append mode truncates
             # nothing, so an existing file keeps its contents until then.
             open(args.out, "a", encoding="utf-8").close()
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

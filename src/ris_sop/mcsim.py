@@ -12,9 +12,11 @@ keyed by (seed, chunk-of-slots, link tag), so the outage count for a given
 the estimate or how many sweep points run alongside it.  One driver,
 :func:`_per_chunk`, runs every estimate: it validates the run, derives the
 model parameters once and calls a chunk kernel on each block of
-:data:`CHUNK_SLOTS` slots.  The chunks run in parallel on a thread pool
-that lives for the one call, a bounded window of them at a time, and the
-driver returns their results in block order.  The estimators only reduce
+:data:`CHUNK_SLOTS` slots.  The chunks run in parallel on a thread pool,
+a bounded window of them at a time, and the driver returns their results
+in block order.  The pool is the caller's when it passes one (a sweep
+shares one pool among all its points and threads) and lives for the one
+call otherwise.  The estimators only reduce
 that list, so a new estimator inherits the contract unchanged.  One draw
 loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
 source-to-surface and eavesdropper streams piece by piece and hands each
@@ -244,16 +246,21 @@ def _check_count(name, value):
         raise DomainError(f"{name} must be >= 1, got {value}")
 
 
-def _per_chunk(kernel, cfg, trials, seed, mode) -> list:
+def _per_chunk(kernel, cfg, trials, seed, mode, *, executor=None) -> list:
     """``kernel``'s result on each chunk of a ``trials``-slot run, in block order.
 
-    The chunks run on a thread pool sized to the usable CPUs; numpy's draws,
-    ``sqrt`` and ``matmul`` release the GIL, so they run in parallel.  The
-    pool lives for this call only, so no thread outlives an estimate (a
-    forked child would inherit a module-level pool without its threads).
-    At most :data:`_WINDOW` chunks per thread are queued or running at a
-    time, a sliding window over the blocks, so the driver's own memory does
-    not grow with ``trials`` and no thread waits for a batch to drain.
+    The chunks run on ``executor``'s threads; numpy's draws, ``sqrt`` and
+    ``matmul`` release the GIL, so they run in parallel.  With no executor a
+    thread pool sized to the usable CPUs is opened for this call alone.  A
+    caller that runs many estimates, such as a sweep, passes one executor to
+    all of them, and it owns that executor: the driver never shuts it down.
+    Either way no pool outlives its caller, since a forked child would
+    inherit a module-level pool without its threads.  At most
+    :data:`_WINDOW` chunks per executor thread are queued or running for
+    this call at a time, a sliding window over the blocks, so the driver's
+    own memory does not grow with ``trials`` and no thread waits for a
+    batch to drain.  On an exception the call cancels its own queued chunks
+    and no others.
     """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -269,18 +276,28 @@ def _per_chunk(kernel, cfg, trials, seed, mode) -> list:
         size = min(CHUNK_SLOTS, trials - block * CHUNK_SLOTS)
         return kernel(cfg, p, seed, block, size, independent)
 
-    workers = min(_usable_cpus(), len(blocks))
+    if executor is not None:
+        return _windowed(executor, run, blocks)
+    with ThreadPoolExecutor(min(_usable_cpus(), len(blocks))) as pool:
+        return _windowed(pool, run, blocks)
+
+
+def _windowed(executor, run, blocks) -> list:
+    """``run(block)`` for every block in order, with at most :data:`_WINDOW`
+    per thread of ``executor`` (a ``ThreadPoolExecutor``) submitted and not
+    yet collected."""
     results, window = [], deque()
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for block in blocks:
-                window.append(pool.submit(run, block))
-                if len(window) == _WINDOW * workers:
-                    results.append(window.popleft().result())
-            results.extend(future.result() for future in window)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    width = _WINDOW * executor._max_workers
+    try:
+        for block in blocks:
+            window.append(executor.submit(run, block))
+            if len(window) == width:
+                results.append(window.popleft().result())
+        results.extend(future.result() for future in window)
+    except BaseException:
+        for future in window:
+            future.cancel()
+        raise
     return results
 
 
@@ -290,17 +307,22 @@ def estimate_sop(
     trials: int,
     seed: int,
     mode: str = "physical",
+    *,
+    executor: ThreadPoolExecutor | None = None,
 ) -> McEstimate:
     """Monte Carlo SOP estimate for one scheme at one operating point.
 
     A NOMA scheme runs the whole paired pass of
-    :func:`estimate_schemes_paired` and returns its scheme's estimate.
+    :func:`estimate_schemes_paired` and returns its scheme's estimate.  The
+    chunks run on ``executor`` when one is given (see :func:`_per_chunk`).
     """
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme != "OUS":
-        return estimate_schemes_paired(cfg, trials, seed, mode)[scheme]
-    return _wilson(sum(_per_chunk(_ous_chunk, cfg, trials, seed, mode)), trials)
+        paired = estimate_schemes_paired(cfg, trials, seed, mode, executor=executor)
+        return paired[scheme]
+    counts = _per_chunk(_ous_chunk, cfg, trials, seed, mode, executor=executor)
+    return _wilson(sum(counts), trials)
 
 
 def estimate_noma_pair(
@@ -319,17 +341,20 @@ def estimate_schemes_paired(
     trials: int,
     seed: int,
     mode: str = "physical",
+    *,
+    executor: ThreadPoolExecutor | None = None,
 ) -> dict[str, McEstimate]:
     """OUS, NOMA-BU and NOMA-WU estimates from the same channel draws.
 
     Pairing removes the sampling noise from scheme comparisons: on identical
     realizations the full-power scheduled user can only do at least as well
     as its power-sharing NOMA counterpart, so ordering checks become exact
-    rather than statistical.
+    rather than statistical.  The chunks run on ``executor`` when one is
+    given (see :func:`_per_chunk`).
     """
     if cfg.n_users < 2:
         raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
-    counts = _per_chunk(_noma_chunk, cfg, trials, seed, mode)
+    counts = _per_chunk(_noma_chunk, cfg, trials, seed, mode, executor=executor)
     bu, wu, ous = (sum(column) for column in zip(*counts))
     return {
         "NOMA_BU": _wilson(bu, trials),

@@ -60,12 +60,19 @@ def sweep_spec():
 
 
 @pytest.fixture(scope="session")
-def sweep_table(sweep_spec):
+def sweep_run(sweep_spec):
+    """The ``workers=1`` sweep's rows and its wall time in seconds."""
     start = time.time()
     table = run_sweep(sweep_spec, workers=1)
-    print(f"\n[acceptance sweep: {time.time() - start:.0f}s for "
+    elapsed = time.time() - start
+    print(f"\n[acceptance sweep: {elapsed:.0f}s for "
           f"{len(table)} rows x {TRIALS} trials]")
-    return table
+    return table, elapsed
+
+
+@pytest.fixture(scope="session")
+def sweep_table(sweep_run):
+    return sweep_run[0]
 
 
 @pytest.fixture(scope="session")
@@ -471,7 +478,7 @@ def test_criterion_8_independence_assumption_check():
     assert shift_ok, "sampling modes not separated by > 3 combined SE"
 
 
-def test_criterion_9_deterministic_sweep(sweep_spec, sweep_csv):
+def test_criterion_9_deterministic_sweep(sweep_spec, sweep_run, sweep_csv):
     """Byte-identical CSV for the same seed under a different worker count."""
     start = time.time()
     again = emit_csv(run_sweep(sweep_spec, workers=4))
@@ -480,6 +487,7 @@ def test_criterion_9_deterministic_sweep(sweep_spec, sweep_csv):
     _verdict(
         9, "deterministic sweep output", ok,
         f"workers=1 vs workers=4 CSV byte-identical: {ok} "
-        f"({len(sweep_csv)} bytes, rerun {elapsed:.0f}s)",
+        f"({len(sweep_csv)} bytes, workers=1 sweep {sweep_run[1]:.0f}s, "
+        f"workers=4 rerun {elapsed:.0f}s)",
     )
     assert ok

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -236,7 +239,7 @@ class TestRunSweep:
         # must stop after the points already running, not run the grid out.
         ran = []
 
-        def evaluate(spec, index, cfg):
+        def evaluate(spec, index, cfg, *, executor):
             ran.append(index)
             if index == 0:
                 raise KeyboardInterrupt
@@ -307,9 +310,9 @@ class TestOnePassPerPoint:
         passes = []
         real = mcsim._per_chunk
 
-        def counting(kernel, cfg, *args):
+        def counting(kernel, cfg, *args, **kwargs):
             passes.append(cfg.n_users)
-            return real(kernel, cfg, *args)
+            return real(kernel, cfg, *args, **kwargs)
 
         monkeypatch.setattr(mcsim, "_per_chunk", counting)
         list(self._sweep(dict(PAIRED, schemes=schemes, mc_trials=100)))
@@ -317,7 +320,124 @@ class TestOnePassPerPoint:
         assert passes == ran
 
 
+#: Eight Monte Carlo points of three chunks each, and a closed-form column.
+POOLED = {
+    "base": {"n_elements": 16, "r_th": 0.1},
+    "sweep": {"gamma0_db": [0.0, 10.0, 20.0, 30.0], "n_users": [2, 3]},
+    "schemes": ["OUS", "NOMA_BU", "NOMA_WU"],
+    "evaluators": ["closed", "mc"],
+    "mc_trials": 3 * mcsim.CHUNK_SLOTS,
+    "seed": 3,
+}
+
+
+class _KernelFailure(Exception):
+    pass
+
+
+def _sweep_in_child(queue):
+    queue.put(emit_csv(run_sweep(parse_config(json.dumps(POOLED)), workers=2)))
+
+
+class TestSharedChunkPool:
+    """``run_sweep`` runs every Monte Carlo chunk on one pool of its own."""
+
+    @staticmethod
+    def _watch(monkeypatch, fail_at=None):
+        """Wrap both chunk kernels; the returned dict holds the most kernels
+        seen running at once and the names of the threads that ran them.
+        Every kernel at the (gamma0_db, n_users) point ``fail_at`` raises."""
+        lock = threading.Lock()
+        seen = {"live": 0, "peak": 0, "threads": set()}
+        for name in ("_ous_chunk", "_noma_chunk"):
+            def kernel(cfg, *args, real=getattr(mcsim, name)):
+                with lock:
+                    seen["live"] += 1
+                    seen["peak"] = max(seen["peak"], seen["live"])
+                    seen["threads"].add(threading.current_thread().name)
+                try:
+                    if (cfg.gamma0_db, cfg.n_users) == fail_at:
+                        raise _KernelFailure("kernel failed")
+                    time.sleep(0.002)  # widen the overlap of concurrent kernels
+                    return real(cfg, *args)
+                finally:
+                    with lock:
+                        seen["live"] -= 1
+            monkeypatch.setattr(mcsim, name, kernel)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_chunk_pool_bounded_by_the_cpus(self, workers, monkeypatch):
+        built = []
+
+        class NamedPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                built.append(f"pool{len(built)}")
+                super().__init__(max_workers, thread_name_prefix=built[-1])
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", NamedPool)
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", NamedPool)
+        seen = self._watch(monkeypatch)
+        before = set(threading.enumerate())
+        run_sweep(parse_config(json.dumps(POOLED)), workers=workers)
+        assert {name.rsplit("_", 1)[0] for name in seen["threads"]} == {"pool0"}
+        assert len(built) == (1 if workers == 1 else 2)
+        assert 1 <= seen["peak"] <= mcsim._usable_cpus()
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_raising_kernel_fails_its_point_alone(self, workers, monkeypatch):
+        spec = parse_config(json.dumps(POOLED))
+        clean = run_sweep(spec, workers=workers)
+        self._watch(monkeypatch, fail_at=(10.0, 3))
+        before = set(threading.enumerate())
+        rows = run_sweep(spec, workers=workers)
+        assert set(threading.enumerate()) <= before
+        assert len(rows) == len(clean)
+        for row, want in zip(rows, clean):
+            if (row.gamma0_db, row.n_users) != (10.0, 3):
+                assert row == want
+                continue
+            assert row.error == "mc: kernel failed"
+            assert row.sop_mc is None and row.mc_trials is None
+            assert row.sop_closed == want.sop_closed
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_can_sweep(self):
+        # A chunk pool kept after a sweep would be copied into the child
+        # without its threads, and the child's sweep would wait forever.
+        expected = emit_csv(run_sweep(parse_config(json.dumps(POOLED)), workers=2))
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_sweep_in_child, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == expected
+        assert child.exitcode == 0
+
+
 class TestMain:
+    @pytest.mark.parametrize("command", ["validate", "oracle", "sweep"])
+    def test_a_config_that_is_not_utf8_is_reported(self, command, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"schemes": ["OUS\xff"]}')
+        out = tmp_path / "o.csv"
+        args = ["sweep", "--out", str(out)] if command == "sweep" else [command]
+        assert main([*args, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "0xff" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_validate_round_trips(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(FAST)

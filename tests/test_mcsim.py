@@ -321,6 +321,39 @@ class TestThreadedDriver:
         assert got == list(range(blocks))
         assert pools == [min(mcsim._usable_cpus(), blocks)]
         assert peak[0] <= mcsim._WINDOW * pools[0]
+        # A caller's executor gets the same window over its own threads, the
+        # driver opens no pool of its own, and the executor stays open.
+        peak[0] = 0
+        with CountingPool(3) as shared:
+            got = mcsim._per_chunk(
+                noop, CFG, blocks * CHUNK_SLOTS, 1, "physical", executor=shared)
+            assert got == list(range(blocks))
+            assert shared.submit(int).result() == 0
+        assert pools == [min(mcsim._usable_cpus(), blocks), 3]
+        assert peak[0] <= mcsim._WINDOW * 3
+
+    @pytest.mark.parametrize("scheme", ["OUS", "NOMA_BU"])
+    def test_a_shared_executor_gives_the_same_estimate(self, scheme):
+        with ThreadPoolExecutor(3) as shared:
+            got = estimate_sop(CFG, scheme, 3 * CHUNK_SLOTS, seed=4, executor=shared)
+        assert got == estimate_sop(CFG, scheme, 3 * CHUNK_SLOTS, seed=4)
+
+    def test_a_failing_estimate_leaves_a_shared_executor_running(self, monkeypatch):
+        # Another caller's work queued behind the failing chunk still runs.
+        kernel, others = mcsim._ous_chunk, []
+
+        def failing(cfg, p, seed, block, size, independent):
+            if block == 0:
+                others.append(shared.submit(str, "other"))
+                raise _KernelFailure(block)
+            return kernel(cfg, p, seed, block, size, independent)
+
+        monkeypatch.setattr(mcsim, "_ous_chunk", failing)
+        with ThreadPoolExecutor(1) as shared:
+            with pytest.raises(_KernelFailure):
+                estimate_sop(CFG, "OUS", 5 * CHUNK_SLOTS, seed=1, executor=shared)
+            assert others[0].result(timeout=60) == "other"
+            assert shared.submit(int).result(timeout=60) == 0
 
     def test_concurrent_estimates_get_the_serial_result(self):
         cfg = SystemConfig(n_elements=16, n_users=3, gamma0_db=10.0, r_th=0.05)
