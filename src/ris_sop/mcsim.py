@@ -12,16 +12,16 @@ keyed by (seed, chunk-of-slots, link tag), so the outage count for a given
 the estimate or how many sweep points run alongside it.  One driver,
 :func:`_per_chunk`, runs every estimate: it validates the run, derives the
 model parameters once and calls a chunk kernel on each block of
-:data:`CHUNK_SLOTS` slots.  The chunks run in parallel on a thread pool,
-a bounded window of them at a time, and the driver returns their results
-in block order.  The pool is the caller's when it passes one (a sweep
-shares one pool among all its points and threads) and lives for the one
-call otherwise.  The estimators only reduce
-that list, so a new estimator inherits the contract unchanged.  One draw
-loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
-source-to-surface and eavesdropper streams piece by piece and hands each
-piece's element powers and eavesdropper SNR to the kernel, which draws only
-its own surface-to-user links and scores the slots.
+:data:`CHUNK_SLOTS` slots.  The chunks run in parallel on a thread pool, a
+bounded window of them at a time, and the driver returns their results in
+block order.  The pool is the caller's when it passes one (a sweep shares
+one pool among all its points and threads) and lives for the one call
+otherwise.  The estimators only reduce that list, so a new estimator
+inherits the contract unchanged.  One draw loop, :func:`_slots`, feeds
+every kernel: it reads the chunk's shared source-to-surface and
+eavesdropper streams piece by piece and hands each piece's element powers
+and eavesdropper SNR to the kernel, which draws only its own
+surface-to-user links and scores the slots.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is

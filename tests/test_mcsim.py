@@ -355,8 +355,7 @@ class TestThreadedDriver:
             assert others[0].result(timeout=60) == "other"
             assert shared.submit(int).result(timeout=60) == 0
 
-    @pytest.mark.parametrize("pool", [None, 2], ids=["own-pools", "shared-pool"])
-    def test_concurrent_estimates_get_the_serial_result(self, pool):
+    def test_concurrent_estimates_get_the_serial_result(self):
         cfg = SystemConfig(n_elements=16, n_users=3, gamma0_db=10.0, r_th=0.05)
         trials, seed = 40_000, 19
         p = derive_clt_params(cfg)
@@ -365,14 +364,17 @@ class TestThreadedDriver:
             for block, start in enumerate(range(0, trials, CHUNK_SLOTS))
         ]
         expected = dict(zip(("NOMA_BU", "NOMA_WU", "OUS"), map(sum, zip(*serial))))
-        results = [None] * 3
-        shared = ThreadPoolExecutor(pool) if pool else None
+        # Two estimates open their own pools and two share one.
+        shared = ThreadPoolExecutor(2)
+        executors = [None, None, shared, shared]
+        results = [None] * len(executors)
 
         def run(i):
-            est = estimate_schemes_paired(cfg, trials, seed, executor=shared)
+            est = estimate_schemes_paired(cfg, trials, seed, executor=executors[i])
             results[i] = {scheme: e.outages for scheme, e in est.items()}
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(executors))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -382,10 +384,9 @@ class TestThreadedDriver:
                 t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            if shared:
-                shared.shutdown()
+            shared.shutdown()
         assert not any(t.is_alive() for t in threads)
-        assert results == [expected] * 3
+        assert results == [expected] * len(executors)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
