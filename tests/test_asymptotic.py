@@ -121,7 +121,7 @@ class TestSopAsymptoticClosed:
     def test_depends_only_on_distance_ratio(self):
         a = sop_asymptotic_closed(_cfgv(d_rd=45.0, d_re=30.0))
         b = sop_asymptotic_closed(_cfgv(d_rd=90.0, d_re=60.0))
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_matches_term_sum_route(self, n):

@@ -21,6 +21,9 @@ TRIALS = 40_000
 SEED = 7
 DEFAULT = SystemConfig()  # N=64, M=3, 20 dB: NOMA_WU is out in every slot
 LOW_RATE = SystemConfig(n_elements=16, n_users=3, gamma0_db=10.0, r_th=0.05)
+# NOMA_BU and OUS differ on these; at N=4, M=2 NOMA_WU is far from saturated.
+FIVE_USERS = SystemConfig(n_elements=16, n_users=5, gamma0_db=25.0, r_th=0.6)
+PAIR = SystemConfig(n_elements=4, n_users=2, gamma0_db=10.0, r_th=0.01)
 
 # (config, mode, OUS outages from estimate_sop)
 GOLDEN_OUS = [
@@ -34,6 +37,10 @@ GOLDEN_OUS = [
 GOLDEN_PAIRED = [
     (LOW_RATE, "physical", {"OUS": 2611, "NOMA_BU": 2830, "NOMA_WU": 39250}),
     (LOW_RATE, "independent", {"OUS": 3326, "NOMA_BU": 3561, "NOMA_WU": 39159}),
+    (FIVE_USERS, "physical", {"OUS": 4855, "NOMA_BU": 5011, "NOMA_WU": 39969}),
+    (FIVE_USERS, "independent", {"OUS": 5465, "NOMA_BU": 5599, "NOMA_WU": 39964}),
+    (PAIR, "physical", {"OUS": 19110, "NOMA_BU": 20792, "NOMA_WU": 37627}),
+    (PAIR, "independent", {"OUS": 18568, "NOMA_BU": 19858, "NOMA_WU": 36809}),
 ]
 
 # Sample indices: the head of chunk 0 and the first slot of chunks 1 and 2,

@@ -29,7 +29,7 @@ class TestQExact:
         assert q_exact(0.0) == 0.5
 
     def test_reference_value(self):
-        assert q_exact(1.0) == pytest.approx(0.15865525393145705, rel=1e-12)
+        assert q_exact(1.0) == pytest.approx(0.15865525393145705, rel=1e-12, abs=0)
 
     def test_far_negative_is_one(self):
         # Q(10.156) ~ 1.6e-24, far below double resolution of 1.
@@ -53,7 +53,7 @@ class TestQExact:
 
 class TestLogQ:
     def test_zero(self):
-        assert log_q(0.0) == pytest.approx(math.log(0.5), rel=1e-15)
+        assert log_q(0.0) == pytest.approx(math.log(0.5), rel=1e-15, abs=0)
 
     def test_far_tail(self):
         assert log_q(50.0) == pytest.approx(LN_Q_50, rel=1e-12)
@@ -94,7 +94,7 @@ class TestLogQ:
         # x * x overflows past 1.3e154; a float's Python arithmetic is silent.
         assert log_q(1e200) == -math.inf
         out = exp_times_q(np.zeros(2), np.array([1e200, 2.0]))
-        assert out[0] == 0.0 and out[1] == pytest.approx(q_exact(2.0), rel=1e-14)
+        assert out[0] == 0.0 and out[1] == pytest.approx(q_exact(2.0), rel=1e-14, abs=0)
 
     def test_nan_in_an_array_rejected(self):
         with pytest.raises(DomainError, match="must not be NaN"):
@@ -103,19 +103,19 @@ class TestLogQ:
 
 class TestQApprox3:
     def test_zero_branch_value(self):
-        assert q_approx3(0.0) == pytest.approx(5.0 / 12.0, rel=1e-15)
+        assert q_approx3(0.0) == pytest.approx(5.0 / 12.0, rel=1e-15, abs=0)
 
     def test_at_one(self):
         w, p = Q_APPROX.w, Q_APPROX.p
         direct = sum(wi / 2 * math.exp(-pi / 2) for wi, pi in zip(w, p))
-        assert q_approx3(1.0) == pytest.approx(direct, rel=1e-15)
+        assert q_approx3(1.0) == pytest.approx(direct, rel=1e-15, abs=0)
         assert q_approx3(1.0) == pytest.approx(q_exact(1.0), abs=2e-5)
 
     def test_mirror_branch(self):
         assert q_approx3(-1.0) == pytest.approx(1.0 - q_approx3(1.0), abs=1e-16)
 
     def test_weights_sum(self):
-        assert sum(Q_APPROX.w) == pytest.approx(5.0 / 6.0, rel=1e-15)
+        assert sum(Q_APPROX.w) == pytest.approx(5.0 / 6.0, rel=1e-15, abs=0)
         assert all(p > 0 for p in Q_APPROX.p)
 
     def test_global_error_bounds(self):
@@ -148,7 +148,7 @@ class TestMultinomialSet:
             t.coef * w1 ** t.k[0] * w2 ** t.k[1] * w3 ** t.k[2]
             for t in multinomial_set(m)
         )
-        assert total == pytest.approx((5.0 / 6.0) ** m, rel=1e-12)
+        assert total == pytest.approx((5.0 / 6.0) ** m, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [1, 3, 7, 16])
     def test_count_and_fields(self, m):
@@ -195,7 +195,7 @@ class TestSignedBinom:
 
 class TestExpTimesQ:
     def test_unit(self):
-        assert exp_times_q(0.0, 0.0) == pytest.approx(0.5, rel=1e-15)
+        assert exp_times_q(0.0, 0.0) == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_extreme_rescue(self):
         # exp(1000) and Q(50) both exceed double range alone.

@@ -21,7 +21,7 @@ class TestPathLoss:
     def test_default_geometry(self):
         expected = 10 ** ((42.0 - 35.0 * math.log10(45.0)) / 10.0)
         got = path_loss_linear(45.0, 42.0, 3.5)
-        assert got == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
         assert got == pytest.approx(2.593e-2, rel=1e-3)
 
     def test_zero_db_crossing(self):
@@ -83,8 +83,8 @@ def _unit_gain_config(n, m=3, gamma0_db=0.0):
 class TestDeriveCltParams:
     def test_unit_gain_moments(self):
         p = derive_clt_params(_unit_gain_config(64))
-        assert p.mu_d == pytest.approx(16 * math.pi, rel=1e-15)
-        assert p.sigma2_d == pytest.approx(4 * (16 - math.pi**2), rel=1e-15)
+        assert p.mu_d == pytest.approx(16 * math.pi, rel=1e-15, abs=0)
+        assert p.sigma2_d == pytest.approx(4 * (16 - math.pi**2), rel=1e-15, abs=0)
 
     def test_xi_saturates_quickly(self):
         p = derive_clt_params(_unit_gain_config(64))
