@@ -42,7 +42,7 @@ import numbers
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,9 +157,11 @@ def _slots(cfg, p, seed, block, size, independent, slot_bytes):
         yield g_sr, p.gamma0 * p.zeta_re * (p.zeta_sr * s) * eav.standard_exponential(k)
 
 
-def _ous_outages(p, gamma, gamma_e) -> int:
-    """How many slots the full-power scheduled SNR ``gamma`` leaves in outage.
+def _outages(p, gamma, gamma_e) -> int:
+    """How many slots have scheduled SNR ``gamma < p.rho * gamma_e + p.offset``.
 
+    A scheme is an offset: ``rho - 1`` scores the full-power OUS user and
+    ``(rho - 1) / a`` the NOMA strong user at power share ``a``.
     Where ``rho * gamma_e`` overflows, the threshold is past every finite SNR
     and the slot is in outage for certain, so inf is the right limit and the
     overflow is not reported.  The errstate is numpy's per-thread state, so
@@ -178,7 +180,7 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
         np.sqrt(g_rd, out=g_rd)
         sums = np.matmul(np.sqrt(g_sr)[:, None, :], g_rd)[:, 0, :]
         gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * sums.max(axis=1) ** 2
-        outages += _ous_outages(p, gamma_d, gamma_e)
+        outages += _outages(p, gamma_d, gamma_e)
     return outages
 
 
@@ -187,10 +189,14 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     # first, treating the strong user's signal as interference; the strong
     # user cancels it before decoding its own.  The surface-to-user
     # coefficients stay fully complex because the worst-user selection
-    # couples their amplitudes and phases.
+    # couples their amplitudes and phases.  Each outage is a threshold
+    # event: the strong user's log2(1 + a gamma_bu) - log2(1 + a gamma_e)
+    # < r_th is gamma_bu < rho gamma_e + (rho - 1) / a, OUS on the same
+    # gamma_bu at a larger offset, so NOMA_BU contains OUS slot by slot.
     n, m = cfg.n_elements, cfg.n_users
     rd = _rng(seed, block, _TAG_DEST_RD)
     a = NOMA_A_BU
+    p_bu = replace(p, offset=(p.rho - 1.0) / a)  # inf past the float64 range
     bu_out = wu_out = ous_out = 0
     for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, 16 * n * m):
         k = len(g_sr)
@@ -207,20 +213,14 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
         g_all = np.matmul(rot[:, None, :], h_rd)[:, 0, :]
         gamma_all = p.gamma0 * np.abs(g_all) ** 2
         gamma_all[rows, bu] = np.inf
-        wu = np.argmin(gamma_all, axis=1)
-        gamma_wu = gamma_all[rows, wu]
-
-        cs_bu = np.log2(1.0 + a * gamma_bu) - np.log2(1.0 + a * gamma_e)
-        cs_wu = np.log2(1.0 + (1.0 - a) * gamma_wu / (a * gamma_wu + 1.0)) - np.log2(
-            1.0 + (1.0 - a) * gamma_e / (a * gamma_e + 1.0)
-        )
-        # r_th > 0, so clamping a negative secrecy capacity to 0 would not
-        # change either comparison.
-        bu_out += int(np.count_nonzero(cs_bu < cfg.r_th))
-        wu_out += int(np.count_nonzero(cs_wu < cfg.r_th))
-        # Full-power outcome of the same realizations: the opportunistic
-        # scheme on identical draws, for paired scheme comparisons.
-        ous_out += _ous_outages(p, gamma_bu, gamma_e)
+        gamma_wu = gamma_all.min(axis=1)
+        bu_out += _outages(p_bu, gamma_bu, gamma_e)
+        ous_out += _outages(p, gamma_bu, gamma_e)  # full power, same draws
+        # The weak user's event compares 1 + SINR at the two receivers.
+        with np.errstate(over="ignore"):  # inf is the certain-outage limit
+            wu = (1.0 + gamma_wu) / (1.0 + a * gamma_wu)
+            eav = p.rho * (1.0 + gamma_e) / (1.0 + a * gamma_e)
+            wu_out += int(np.count_nonzero(wu < eav))
     return bu_out, wu_out, ous_out
 
 

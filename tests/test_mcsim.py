@@ -194,6 +194,16 @@ class TestNomaEstimates:
             assert ests["NOMA_WU"].outages >= ests["NOMA_BU"].outages
             assert ests["NOMA_WU"].sop_hat >= 0.9
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("gamma0_db", [-60.0, 150.0])
+    @pytest.mark.parametrize("r_th", [0.01, 1.0, 1000.0, 1023.0])
+    def test_strong_user_outages_contain_ous_at_extremes(self, r_th, gamma0_db, mode):
+        # Near r_th = 1023 the thresholds overflow to inf (certain outage);
+        # the suite's error::RuntimeWarning filter checks that it stays quiet.
+        cfg = SystemConfig(n_users=3, gamma0_db=gamma0_db, r_th=r_th)
+        ests = estimate_schemes_paired(cfg, 2_000, seed=23, mode=mode)
+        assert ests["NOMA_BU"].outages >= ests["OUS"].outages
+
 
 class TestChunkPieces:
     @pytest.mark.parametrize("mode", MODES)
