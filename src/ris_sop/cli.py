@@ -1,9 +1,10 @@
 """Experiment runner: JSON sweep configs in, deterministic CSV tables out.
 
 The CLI has three subcommands: ``sweep`` evaluates a parameter grid with any
-subset of the evaluators, ``validate`` checks a config document and prints
-its canonical form, and ``oracle`` runs the two-tier quadrature cross-checks
-that certify the closed form at the configured grid points.
+subset of the evaluators, ``validate`` checks a config document, prints its
+canonical form and reports the Monte Carlo work it asks for, and ``oracle``
+runs the two-tier quadrature cross-checks that certify the closed form at
+the configured grid points.
 
 All state flows through the config document, except that ``sweep --trials``
 and ``--seed`` override its ``mc_trials`` and ``seed`` keys; environment
@@ -33,7 +34,7 @@ from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError
 from .mcsim import (SCHEMES, McEstimate, _usable_cpus, estimate_schemes_paired,
-                    estimate_sop)
+                    estimate_sop, variates_per_slot)
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
@@ -285,6 +286,26 @@ def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dic
     return results
 
 
+def _work(spec: SweepSpec) -> tuple[int, int, int]:
+    """(grid points, Monte Carlo slots, variates per slot summed over the
+    grid) of a sweep of ``spec``, counted from the spec alone.  As in
+    ``_run_mc``, a point runs the paired pass when a NOMA scheme is asked
+    for and the point has a pair, else the OUS estimator when OUS is."""
+    axes = dict(spec.axes)
+    points = math.prod(map(len, axes.values()))
+    ns = axes.get("n_elements", (spec.base.n_elements,))
+    ms = axes.get("n_users", (spec.base.n_users,))
+    repeats = points // (len(ns) * len(ms))  # grid points per (N, M) pair
+    passes = per_slot = 0
+    if "mc" in spec.evaluators:
+        for n, m in product(ns, ms):
+            paired = spec.schemes != ("OUS",) and m >= 2
+            if paired or "OUS" in spec.schemes:
+                passes += repeats
+                per_slot += repeats * variates_per_slot(n, m, paired)
+    return points, passes * spec.mc_trials, per_slot
+
+
 def _mc_cells(est: McEstimate, seed: int) -> dict:
     return {
         "sop_mc": _floor(est.sop_hat),
@@ -456,6 +477,10 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         print(spec.to_json())
+        points, slots, per_slot = _work(spec)
+        print(f"work: {points} grid points, {slots} Monte Carlo slots, {per_slot} "
+              f"variates per slot summed over the grid, "
+              f"{per_slot * spec.mc_trials} in all", file=sys.stderr)
         return 0
 
     if args.command == "oracle":

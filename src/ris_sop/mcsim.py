@@ -157,6 +157,14 @@ def _slots(cfg, p, seed, block, size, independent, slot_bytes):
         yield g_sr, p.gamma0 * p.zeta_re * (p.zeta_sr * s) * eav.standard_exponential(k)
 
 
+def variates_per_slot(n_elements: int, n_users: int, paired: bool) -> int:
+    """Random variates one physical-mode slot draws: N source-to-surface
+    powers and one eavesdropper draw in :func:`_slots`, plus N*M
+    surface-to-user powers in the OUS kernel or 2*N*M normals (the complex
+    coefficients) in the paired NOMA kernel."""
+    return (2 if paired else 1) * n_elements * n_users + n_elements + 1
+
+
 def _outages(p, gamma, gamma_e) -> int:
     """How many slots have scheduled SNR ``gamma < p.rho * gamma_e + p.offset``.
 

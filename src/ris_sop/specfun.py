@@ -9,6 +9,10 @@ model calls it; :func:`q_exact`, :func:`q_approx3` and :func:`exp_times_q`
 work elementwise on arrays, as the quadrature integrands and the term sums
 need, and return a float for a float.  :func:`multinomial_set` lists the
 compositions of one expansion order that the term sums run over.
+
+``scipy.special`` supplies ``erfc`` and ``erfcx``.  It is imported at the
+first evaluation that needs one, through one cached accessor, so importing
+the package, parsing a config and ``ris-sop validate`` never load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import CapacityError, DomainError
 
@@ -50,6 +53,16 @@ Q_APPROX = QApproxWeights(
 ORDER_CAP = 16
 
 
+@functools.cache
+def _special():
+    # Most of the package's import time; see the module docstring.  The
+    # cache makes every later call a lookup, not an import statement, and
+    # concurrent first calls meet in the import lock.
+    from scipy import special
+
+    return special
+
+
 def _asarray_checked(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.count_nonzero(np.isnan(arr)):  # cheaper than .any() on small arrays
@@ -64,17 +77,17 @@ def q_exact(x):
     the far right tail and satisfies Q(-x) = 1 - Q(x) to float precision.
     """
     arr = _asarray_checked(x)
-    out = 0.5 * _sp.erfc(arr / _SQRT2)
+    out = 0.5 * _special().erfc(arr / _SQRT2)
     return out if arr.ndim else float(out)
 
 
 def _log_q_right(x):
     # x >= 0: the scaled erfc keeps full accuracy where Q(x) underflows.
-    return np.log(0.5 * _sp.erfcx(x / _SQRT2)) - 0.5 * x * x
+    return np.log(0.5 * _special().erfcx(x / _SQRT2)) - 0.5 * x * x
 
 
 def _log_q_left(x):
-    return np.log1p(-0.5 * _sp.erfc(x / -_SQRT2))  # one op less than -x / _SQRT2
+    return np.log1p(-0.5 * _special().erfc(x / -_SQRT2))  # one op less than -x / _SQRT2
 
 
 def log_q(x: float) -> float:

@@ -11,7 +11,10 @@ _spec = importlib.util.spec_from_file_location("bench_ab", _PATH)
 bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
-BETTER = {"points_per_s": "higher", "setup_s": "lower"}
+END_TO_END = [
+    {"name": "points_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]
 
 
 def _stdout(points_per_s, setup_s, correct=True, failed=0):
@@ -77,16 +80,63 @@ def test_summary_spreads_and_wins():
             runs.append({"workload": "w", "seed": seed, "side": side, "result": result})
     runs.append({"workload": "v", "seed": 1, "side": "parent",
                  "result": bench_ab.parse_output("")[1]})
-    summary = bench_ab.summarize(runs, BETTER)
+    summary = bench_ab.summarize(runs, END_TO_END)
     w = summary["w"]
     assert w["points_per_s"]["parent"] == {
         "median": 275.0, "q1": 270.0, "q3": 280.0, "runs": 5}
     assert w["points_per_s"]["change"] == {
         "median": 600.0, "q1": 570.0, "q3": 610.0, "runs": 5}
     assert w["change_wins"] == {"points_per_s": "4 of 5", "setup_s": "2 of 5"}
+    assert w["verdicts"] == {"points_per_s": "held", "setup_s": "held"}
     assert w["all_correct"] is True
     assert w["failed"] == 2
     v = summary["v"]
     assert v["all_correct"] is False
     assert v["points_per_s"]["parent"]["runs"] == 0
     assert v["change_wins"]["points_per_s"] == "0 of 0"
+    assert v["verdicts"] == {"points_per_s": None, "setup_s": None}
+
+
+def _pairs(workload, parent, change):
+    """Runs of one workload, a pair per seed: (points_per_s, setup_s) lists."""
+    runs = []
+    for seed, sides in enumerate(zip(zip(*parent), zip(*change))):
+        for side, (pps, setup) in zip(("parent", "change"), sides):
+            _, result = bench_ab.parse_output(_stdout(pps, setup))
+            runs.append({"workload": workload, "seed": seed, "side": side,
+                         "result": result})
+    return runs
+
+
+def test_verdicts_on_synthetic_runs():
+    base_pps = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
+    base_setup = [0.30 + 0.01 * i for i in range(10)]  # median 0.345, IQR 0.045
+    runs = [
+        # setup_s 3x lower in every pair; points_per_s 30% lower.
+        *_pairs("a", (base_pps, base_setup),
+                ([0.7 * v for v in base_pps], [v / 3 for v in base_setup])),
+        # Nine of ten pairs won but by 0.001 s, inside the parent's IQR;
+        # points_per_s 20% lower, inside the 25% bound.
+        *_pairs("b", (base_pps, base_setup),
+                ([0.8 * v for v in base_pps],
+                 [v - 0.001 for v in base_setup[:9]] + [1.0])),
+    ]
+    summary = bench_ab.summarize(runs, END_TO_END)
+    assert summary["a"]["change_wins"] == {"points_per_s": "0 of 10",
+                                           "setup_s": "10 of 10"}
+    assert summary["a"]["verdicts"] == {"points_per_s": "worse", "setup_s": "gain"}
+    assert summary["b"]["change_wins"]["setup_s"] == "9 of 10"
+    assert summary["b"]["verdicts"] == {"points_per_s": "held", "setup_s": "held"}
+
+
+@pytest.mark.parametrize("won, change_median, expected", [
+    (9, 0.70, "gain"),   # 9 of 10, 0.30 apart against an IQR of 0.20
+    (10, 0.85, "held"),  # every pair, but 0.15 apart: inside the IQR
+    (8, 0.50, "held"),   # far apart, 8 of 10
+    (0, 1.26, "worse"),  # 26% behind the parent's median, bound 25%
+    (0, 1.24, "held"),
+])
+def test_verdict_thresholds(won, change_median, expected):
+    spread = {"parent": {"median": 1.0, "q1": 0.9, "q3": 1.1},
+              "change": {"median": change_median}}
+    assert bench_ab.verdict(spread, won, 10, -1.0, 0.25) == expected

@@ -445,6 +445,49 @@ class TestMain:
         printed = capsys.readouterr().out
         assert parse_config(printed) == parse_config(FAST)
 
+    #: Two gamma0 values over N in {4, 8} and M in {1, 3}, 100 trials.  Per
+    #: slot an OUS pass draws N*M + N + 1 variates, a paired one 2*N*M + N + 1:
+    #: 9, 17 (M = 1), 17, 33 (OUS at M = 3) and 29, 57 (paired at M = 3).
+    @pytest.mark.parametrize("schemes, evaluators, slots, per_slot", [
+        (["OUS", "NOMA_BU"], ["closed", "mc"], 800, 2 * (9 + 17 + 29 + 57)),
+        (["OUS"], ["mc"], 800, 2 * (9 + 17 + 17 + 33)),
+        (["NOMA_WU"], ["mc"], 400, 2 * (29 + 57)),  # M = 1 has no pair
+        (["OUS"], ["closed"], 0, 0),
+    ], ids=["mixed", "ous", "noma-only", "no-mc"])
+    def test_validate_reports_the_work(
+        self, schemes, evaluators, slots, per_slot, tmp_path, capsys, monkeypatch
+    ):
+        doc = {"sweep": {"gamma0_db": [0.0, 20.0], "n_elements": [4, 8],
+                         "n_users": [1, 3]},
+               "schemes": schemes, "evaluators": evaluators, "mc_trials": 100}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == parse_config(json.dumps(doc)).to_json() + "\n"
+        assert captured.err == (
+            f"work: 8 grid points, {slots} Monte Carlo slots, {per_slot} variates "
+            f"per slot summed over the grid, {per_slot * 100} in all\n")
+
+        # The sweep draws exactly that many variates.
+        drawn, lock, real = [], threading.Lock(), mcsim._rng
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self._gen, name)(*args, **kwargs)
+                    with lock:
+                        drawn.append(out.size)
+                    return out
+                return draw
+
+        monkeypatch.setattr(mcsim, "_rng", lambda *key: Counting(real(*key)))
+        run_sweep(parse_config(json.dumps(doc)), workers=2)
+        assert sum(drawn) == per_slot * 100
+
     def test_validate_rejects(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"base": {"n_users": 0}}')

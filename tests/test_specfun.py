@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ris_sop
 from ris_sop.errors import CapacityError, DomainError
 from ris_sop.specfun import (
     Q_APPROX,
@@ -233,3 +239,85 @@ class TestExpTimesQ:
             for b in (-4.0, -0.5, 0.0, 1.0, 6.0):
                 direct = math.exp(a) * q_exact(b)
                 assert exp_times_q(a, b) == pytest.approx(direct, rel=1e-10, abs=0)
+
+
+_SRC = str(Path(ris_sop.__file__).resolve().parent.parent)
+
+
+def _fresh_python(script: str, *args: str) -> list:
+    """The JSON last line a new interpreter prints running ``script``."""
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_GUARD = """
+import contextlib, io, json, sys
+import ris_sop
+from ris_sop import cli
+from ris_sop.sysmodel import SystemConfig, derive_clt_params
+
+seen = {}
+quiet = io.StringIO()
+with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+    assert cli.main(["validate", "--config", sys.argv[1]]) == 0
+    assert cli.main(["oracle", "--config", sys.argv[2]]) == 1  # a config error
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+seen["before"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+derive_clt_params(SystemConfig())
+seen["after"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+
+#: Four threads make their first tail evaluations at once (argv[1] ==
+#: "threads") or one after another in one thread ("serial").
+_FIRST_USE = """
+import dataclasses, json, sys, threading
+import numpy as np
+from ris_sop.specfun import q_exact
+from ris_sop.sysmodel import SystemConfig, derive_clt_params
+
+assert "scipy" not in sys.modules
+barrier = threading.Barrier(4)
+out = [None] * 4
+
+def first(i):
+    if sys.argv[1] == "threads":
+        barrier.wait(timeout=60)
+    p = derive_clt_params(SystemConfig(n_elements=16 << i, gamma0_db=10.0 * i))
+    q = q_exact(np.linspace(-40.0, 40.0, 81) / (i + 1))
+    out[i] = [float.hex(float(v)) for v in (*dataclasses.astuple(p), *q)]
+
+if sys.argv[1] == "threads":
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=first, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+else:
+    for i in range(4):
+        first(i)
+print(json.dumps(out))
+"""
+
+
+class TestScipyAtFirstTailEvaluation:
+    def test_start_up_loads_no_scipy(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"evaluators": ["mc"], "schemes": ["OUS", "NOMA_BU"]}')
+        bad.write_text('{"base": {"n_users": 0}}')
+        seen = _fresh_python(_GUARD, str(good), str(bad))
+        assert seen == {"before": [], "after": True}
+
+    def test_concurrent_first_use_gives_the_serial_bits(self):
+        threaded = _fresh_python(_FIRST_USE, "threads")
+        assert threaded == _fresh_python(_FIRST_USE, "serial")
+        assert all(len(values) == 10 + 81 for values in threaded)

@@ -10,9 +10,9 @@ change's ``BENCHMARK.json`` declares.  Each workload runs one pair per seed
 of ``--seeds``, that seed on both sides; the side that runs first
 alternates, the parent first in each workload's first pair.  The file holds
 every run's result line and, per workload and end-to-end metric, each side's
-median and quartiles and the number of pairs the change won (ties count for
-neither side).  Each run keeps its exit code and the last line of its
-standard error beside its result line.
+median and quartiles, the number of pairs the change won (ties count for
+neither side) and a verdict (see :func:`verdict`).  Each run keeps its exit
+code and the last line of its standard error beside its result line.
 """
 
 from __future__ import annotations
@@ -85,12 +85,33 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload: each metric's spread on both sides, and the change's wins.
+def verdict(spread: dict, won: int, pairs: int, sign: float, bound: float):
+    """"gain", "worse" or "held" for one metric's two sides; None without runs.
+
+    A gain is at least nine tenths of the pairs won with the medians apart
+    by more than the parent's interquartile range, in the change's favour.
+    Worse is the change's median behind the parent's by more than ``bound``
+    times the parent's median.  ``sign`` is +1 where higher is better.
+    """
+    parent, change = spread["parent"], spread["change"]
+    if parent["median"] is None or change["median"] is None:
+        return None
+    ahead = sign * (change["median"] - parent["median"])
+    if pairs and 10 * won >= 9 * pairs and ahead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -ahead > bound * abs(parent["median"]):
+        return "worse"
+    return "held"
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload: each metric's spread on both sides, the change's wins and
+    the verdict.
 
     ``runs`` holds ``{"workload", "seed", "side", "result"}`` entries;
-    ``better`` maps each end-to-end metric to "higher" or "lower".  A pair is
-    the two sides' runs of one workload and seed.
+    ``end_to_end`` is ``BENCHMARK.json``'s list of metrics, each with its
+    ``name``, ``better`` ("higher" or "lower") and ``bound``.  A pair is the
+    two sides' runs of one workload and seed.
     """
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -100,7 +121,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             by_pair.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
         block = {}
         wins = {}
-        for metric, direction in better.items():
+        verdicts = {}
+        for declared in end_to_end:
+            metric = declared["name"]
             block[metric] = {
                 side: _spread([r["result"]["metrics"][metric]["value"] for r in mine
                                if r["side"] == side and metric in r["result"]["metrics"]])
@@ -108,13 +131,16 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             }
             pairs = [p for p in by_pair.values()
                      if all(metric in p.get(side, {}) for side in SIDES)]
-            sign = 1.0 if direction == "higher" else -1.0
+            sign = 1.0 if declared["better"] == "higher" else -1.0
             won = sum(1 for p in pairs if sign * (
                 p["change"][metric]["value"] - p["parent"][metric]["value"]) > 0)
             wins[metric] = f"{won} of {len(pairs)}"
+            verdicts[metric] = verdict(
+                block[metric], won, len(pairs), sign, declared["bound"])
         block["all_correct"] = all(r["result"]["correct"] for r in mine)
         block["failed"] = sum(r["result"]["failed"] or 0 for r in mine)
         block["change_wins"] = wins
+        block["verdicts"] = verdicts
         summary[workload] = block
     return summary
 
@@ -164,7 +190,6 @@ def main(argv=None) -> int:
     try:
         declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         seconds = declared["run_seconds"]
-        better = {m["name"]: m["better"] for m in declared["end_to_end"]}
         runs, machine = [], None
         for workload in args.workloads:
             for seed, sides in zip(seeds, run_order(len(seeds))):
@@ -191,7 +216,7 @@ def main(argv=None) -> int:
                  f"pair; each run is bench/run.py --trace 0 for {seconds} s",
         # bench/run.py cannot read a SHA in an export; both are recorded above.
         "machine": {k: v for k, v in (machine or {}).items() if k != "git_sha"},
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, declared["end_to_end"]),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
