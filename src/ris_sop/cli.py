@@ -268,19 +268,28 @@ def _analytic(column: str, evaluate, attr: str) -> Route:
                  lambda result, seed: {column: _floor(value(result))}, value)
 
 
+def _paired(spec: SweepSpec, n_users: int) -> bool:
+    """Whether a Monte Carlo point with ``n_users`` users runs the paired NOMA
+    pass, which also counts the OUS outages: a NOMA scheme is asked for and
+    the point has a pair.  Otherwise the OUS estimator runs, if OUS is."""
+    return spec.schemes != ("OUS",) and n_users >= 2
+
+
 def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dict:
-    """One Monte Carlo pass per point, its chunks on ``executor``.  The paired
-    NOMA pass also counts the OUS outages on its own draws, so NOMA_BU >= OUS
-    holds exactly in every row pair; the OUS estimator runs only when no NOMA
-    scheme is asked for or the pass cannot run (M = 1 has no pair)."""
+    """One Monte Carlo pass per point, its chunks on ``executor``, chosen by
+    :func:`_paired`.  The paired NOMA pass counts the OUS outages on its own
+    draws, so NOMA_BU >= OUS holds exactly in every row pair.  Without a pair
+    (M = 1) the NOMA schemes record the paired estimator's refusal, which
+    comes before any draw."""
+    paired = _paired(spec, cfg.n_users)
     results = {}
     if spec.schemes != ("OUS",):
         try:
             results = estimate_schemes_paired(
                 cfg, spec.mc_trials, seed, executor=executor)
         except Exception as exc:  # noqa: BLE001 - recorded per row
-            results = {scheme: exc for scheme in SCHEMES if scheme != "OUS"}
-    if "OUS" in spec.schemes and "OUS" not in results:
+            results = {scheme: exc for scheme in SCHEMES if paired or scheme != "OUS"}
+    if "OUS" in spec.schemes and not paired:
         results["OUS"] = _caught(
             estimate_sop, cfg, "OUS", spec.mc_trials, seed, executor=executor)
     return results
@@ -288,9 +297,8 @@ def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dic
 
 def _work(spec: SweepSpec) -> tuple[int, int, int]:
     """(grid points, Monte Carlo slots, variates per slot summed over the
-    grid) of a sweep of ``spec``, counted from the spec alone.  As in
-    ``_run_mc``, a point runs the paired pass when a NOMA scheme is asked
-    for and the point has a pair, else the OUS estimator when OUS is."""
+    grid) of a sweep of ``spec``, counted from the spec alone; each point's
+    pass is the one :func:`_paired` chooses for ``_run_mc``."""
     axes = dict(spec.axes)
     points = math.prod(map(len, axes.values()))
     ns = axes.get("n_elements", (spec.base.n_elements,))
@@ -299,7 +307,7 @@ def _work(spec: SweepSpec) -> tuple[int, int, int]:
     passes = per_slot = 0
     if "mc" in spec.evaluators:
         for n, m in product(ns, ms):
-            paired = spec.schemes != ("OUS",) and m >= 2
+            paired = _paired(spec, m)
             if paired or "OUS" in spec.schemes:
                 passes += repeats
                 per_slot += repeats * variates_per_slot(n, m, paired)

@@ -17,8 +17,9 @@ END_TO_END = [
 ]
 
 
-def _stdout(points_per_s, setup_s, correct=True, failed=0):
-    summary = {"workload": "w", "seed": 1, "machine": {"nproc": 2, "git_sha": "unknown"}}
+def _stdout(points_per_s, setup_s, correct=True, failed=0, timing=None):
+    summary = {"workload": "w", "seed": 1, "machine": {"nproc": 2, "git_sha": "unknown"},
+               "passes": 2, **(timing or {})}
     result = {"correct": correct, "attempted": 10, "failed": failed, "metrics": {
         "points_per_s": {"value": points_per_s, "unit": "1/s"},
         "setup_s": {"value": setup_s, "unit": "s"},
@@ -111,6 +112,7 @@ def _pairs(workload, parent, change):
 def test_verdicts_on_synthetic_runs():
     base_pps = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
     base_setup = [0.30 + 0.01 * i for i in range(10)]  # median 0.345, IQR 0.045
+    wide_pps = [60.0 + 10.0 * i for i in range(10)]  # median 105, IQR 45
     runs = [
         # setup_s 3x lower in every pair; points_per_s 30% lower.
         *_pairs("a", (base_pps, base_setup),
@@ -120,6 +122,9 @@ def test_verdicts_on_synthetic_runs():
         *_pairs("b", (base_pps, base_setup),
                 ([0.8 * v for v in base_pps],
                  [v - 0.001 for v in base_setup[:9]] + [1.0])),
+        # The parent's points_per_s IQR is 43% of its median, wider than
+        # the 25% bound: equal medians cannot show the metric held.
+        *_pairs("c", (wide_pps, base_setup), (wide_pps, base_setup)),
     ]
     summary = bench_ab.summarize(runs, END_TO_END)
     assert summary["a"]["change_wins"] == {"points_per_s": "0 of 10",
@@ -127,16 +132,50 @@ def test_verdicts_on_synthetic_runs():
     assert summary["a"]["verdicts"] == {"points_per_s": "worse", "setup_s": "gain"}
     assert summary["b"]["change_wins"]["setup_s"] == "9 of 10"
     assert summary["b"]["verdicts"] == {"points_per_s": "held", "setup_s": "held"}
+    assert summary["c"]["verdicts"] == {"points_per_s": "unresolved", "setup_s": "held"}
 
 
-@pytest.mark.parametrize("won, change_median, expected", [
-    (9, 0.70, "gain"),   # 9 of 10, 0.30 apart against an IQR of 0.20
-    (10, 0.85, "held"),  # every pair, but 0.15 apart: inside the IQR
-    (8, 0.50, "held"),   # far apart, 8 of 10
-    (0, 1.26, "worse"),  # 26% behind the parent's median, bound 25%
-    (0, 1.24, "held"),
-])
-def test_verdict_thresholds(won, change_median, expected):
+@pytest.mark.parametrize("won, change_median, bound, separated, expected", [
+    (9, 0.70, 0.25, False, "gain"),   # 9 of 10, 0.30 apart against an IQR of 0.20
+    (10, 0.85, 0.25, False, "held"),  # every pair, but 0.15 apart: inside the IQR
+    (8, 0.50, 0.25, False, "held"),   # far apart, 8 of 10
+    (0, 1.26, 0.25, False, "worse"),  # 26% behind the parent's median, bound 25%
+    (0, 1.24, 0.25, False, "held"),
+    # The parent's IQR (20% of its median) is wider than a 15% bound ...
+    (10, 0.85, 0.15, False, "unresolved"),
+    (0, 1.10, 0.15, False, "unresolved"),
+    (0, 1.16, 0.15, False, "worse"),  # ... which a larger loss still exceeds,
+    (10, 0.85, 0.15, True, "held"),  # ... unless every change run beat every parent run
+], ids=["gain", "inside-iqr", "eight-of-ten", "worse", "within-bound",
+        "wide-better", "wide-worse", "wide-beyond-bound", "wide-separated"])
+def test_verdict_thresholds(won, change_median, bound, separated, expected):
     spread = {"parent": {"median": 1.0, "q1": 0.9, "q3": 1.1},
               "change": {"median": change_median}}
-    assert bench_ab.verdict(spread, won, 10, -1.0, 0.25) == expected
+    assert bench_ab.verdict(spread, won, 10, -1.0, bound, separated) == expected
+
+
+def test_runs_keep_their_timing_and_the_summary_adds_set_up_plus_first_pass():
+    def timing(setup, first):
+        return {"wall_s": [first, 1.0], "speed_factor": [1.0, 1.0],
+                "setup_wall_s": [setup, setup + 1.0, setup - 1.0]}
+
+    _, fields = bench_ab.outcome(0, _stdout(1.0, 0.4, timing=timing(0.25, 0.125)), "")
+    assert fields["timing"] == timing(0.25, 0.125)
+    assert bench_ab.cold_start(fields["timing"]) == 0.375
+    runs = []
+    for seed in range(4):
+        # The change moves 0.125 s of set-up into a first pass 0.375 s longer.
+        sides = {"parent": _stdout(1.0, 0.4, timing=timing(0.25 + seed, 0.125)),
+                 "change": _stdout(1.0, 0.3, timing=timing(0.125 + seed, 0.5))}
+        if seed == 3:
+            sides["change"] = ""  # a crashed run has no timing
+        for side, stdout in sides.items():
+            _, fields = bench_ab.outcome(0, stdout, "")
+            runs.append({"workload": "w", "seed": seed, "side": side, **fields})
+    block = bench_ab.summarize(runs, END_TO_END)["w"]
+    assert block["setup_s"]["change"]["median"] == 0.3
+    assert block["setup_plus_first_pass_s"] == {
+        "parent": {"median": 1.875, "q1": 1.125, "q3": 2.625, "runs": 4},
+        "change": {"median": 1.625, "q1": 1.125, "q3": 2.125, "runs": 3},
+        "change_wins": "0 of 3",
+    }

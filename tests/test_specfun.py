@@ -254,13 +254,17 @@ def _fresh_python(script: str, *args: str) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+#: Start-up commands, then four threads behind a barrier making their first
+#: tail evaluations at once (thread 0's is ``derive_clt_params(SystemConfig())``),
+#: then the same evaluations one after another.
 _GUARD = """
-import contextlib, io, json, sys
+import contextlib, dataclasses, io, json, sys, threading
+import numpy as np
 import ris_sop
 from ris_sop import cli
+from ris_sop.specfun import q_exact
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
 
-seen = {}
 quiet = io.StringIO()
 with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
     assert cli.main(["validate", "--config", sys.argv[1]]) == 0
@@ -269,55 +273,43 @@ with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
         cli.main(["--help"])
     except SystemExit:
         pass
-seen["before"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-derive_clt_params(SystemConfig())
-seen["after"] = "scipy.special" in sys.modules
-print(json.dumps(seen))
-"""
+seen = {"before": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
 
-#: Four threads make their first tail evaluations at once (argv[1] ==
-#: "threads") or one after another in one thread ("serial").
-_FIRST_USE = """
-import dataclasses, json, sys, threading
-import numpy as np
-from ris_sop.specfun import q_exact
-from ris_sop.sysmodel import SystemConfig, derive_clt_params
+configs = [SystemConfig()] + [
+    SystemConfig(n_elements=16 << i, gamma0_db=10.0 * i) for i in (1, 2, 3)]
 
-assert "scipy" not in sys.modules
+def bits(i):
+    p = derive_clt_params(configs[i])
+    q = q_exact(np.linspace(-40.0, 40.0, 81) / (i + 1))
+    return [float.hex(float(v)) for v in (*dataclasses.astuple(p), *q)]
+
 barrier = threading.Barrier(4)
-out = [None] * 4
+threaded = [None] * 4
 
 def first(i):
-    if sys.argv[1] == "threads":
-        barrier.wait(timeout=60)
-    p = derive_clt_params(SystemConfig(n_elements=16 << i, gamma0_db=10.0 * i))
-    q = q_exact(np.linspace(-40.0, 40.0, 81) / (i + 1))
-    out[i] = [float.hex(float(v)) for v in (*dataclasses.astuple(p), *q)]
+    barrier.wait(timeout=60)
+    threaded[i] = bits(i)
 
-if sys.argv[1] == "threads":
-    sys.setswitchinterval(1e-6)
-    threads = [threading.Thread(target=first, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-else:
-    for i in range(4):
-        first(i)
-print(json.dumps(out))
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+sys.setswitchinterval(0.005)
+seen["after"] = "scipy.special" in sys.modules
+seen["sizes"] = [len(values) for values in threaded]
+seen["threaded_is_serial"] = threaded == [bits(i) for i in range(4)]
+print(json.dumps(seen))
 """
 
 
 class TestScipyAtFirstTailEvaluation:
-    def test_start_up_loads_no_scipy(self, tmp_path):
+    def test_start_up_loads_no_scipy_and_first_use_is_threadsafe(self, tmp_path):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text('{"evaluators": ["mc"], "schemes": ["OUS", "NOMA_BU"]}')
         bad.write_text('{"base": {"n_users": 0}}')
         seen = _fresh_python(_GUARD, str(good), str(bad))
-        assert seen == {"before": [], "after": True}
-
-    def test_concurrent_first_use_gives_the_serial_bits(self):
-        threaded = _fresh_python(_FIRST_USE, "threads")
-        assert threaded == _fresh_python(_FIRST_USE, "serial")
-        assert all(len(values) == 10 + 81 for values in threaded)
+        assert seen == {"before": [], "after": True, "sizes": [10 + 81] * 4,
+                        "threaded_is_serial": True}

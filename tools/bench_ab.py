@@ -12,7 +12,10 @@ alternates, the parent first in each workload's first pair.  The file holds
 every run's result line and, per workload and end-to-end metric, each side's
 median and quartiles, the number of pairs the change won (ties count for
 neither side) and a verdict (see :func:`verdict`).  Each run keeps its exit
-code and the last line of its standard error beside its result line.
+code, the last line of its standard error and its pass and set-up times
+(see :data:`TIMING`) beside its result line.  Per workload the summary also
+gives the set-up plus the first timed pass (see :func:`cold_start`), where a
+one-time cost that moved out of ``setup_s`` shows.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SIDES = ("parent", "change")
 
+#: Lists of ``bench/run.py``'s summary line that each run keeps: each timed
+#: pass's wall time and CPU speed factor, and each set-up probe's wall time.
+TIMING = ("wall_s", "speed_factor", "setup_wall_s")
+
 
 def parse_seeds(text: str) -> list[int]:
     """``"41-50"`` -> [41, ..., 50]; a single ``"7"`` -> [7]."""
@@ -47,34 +54,44 @@ def run_order(pairs: int) -> list[tuple[str, str]]:
     return [SIDES if i % 2 == 0 else SIDES[::-1] for i in range(pairs)]
 
 
+def _summary_and_result(stdout: str) -> tuple[dict, dict]:
+    summary, result = {}, {"correct": False, "failed": None, "metrics": {}}
+    for line in stdout.splitlines():
+        if not line.startswith("{"):
+            continue
+        obj = json.loads(line)
+        if "machine" in obj:
+            summary = obj
+        elif "metrics" in obj:
+            result = obj
+    return summary, result
+
+
 def parse_output(stdout: str) -> tuple[dict | None, dict]:
     """(machine block, result) from one ``bench/run.py`` standard output.
 
     The result is the last line, a JSON object with ``correct``, ``failed``
     and ``metrics``; output without one is recorded as an incorrect run.
     """
-    machine, result = None, {"correct": False, "failed": None, "metrics": {}}
-    for line in stdout.splitlines():
-        if not line.startswith("{"):
-            continue
-        obj = json.loads(line)
-        if "machine" in obj:
-            machine = obj["machine"]
-        elif "metrics" in obj:
-            result = obj
-    return machine, result
+    summary, result = _summary_and_result(stdout)
+    return summary.get("machine"), result
 
 
 def outcome(exit_code: int, stdout: str, stderr: str) -> tuple[dict | None, dict]:
     """(machine block, ``runs`` entry fields) of one finished ``bench/run.py``.
 
     The fields hold the run's exit code and the last line it wrote to
-    standard error besides its result, so a crashed run names its cause.
+    standard error besides its result, so a crashed run names its cause,
+    and the run's :data:`TIMING` lists, if it printed them, as ``timing``.
     """
-    machine, result = parse_output(stdout)
+    summary, result = _summary_and_result(stdout)
     lines = stderr.rstrip().splitlines()
     tail = lines[-1] if lines else None
-    return machine, {"exit_code": exit_code, "stderr_tail": tail, "result": result}
+    fields = {"exit_code": exit_code, "stderr_tail": tail, "result": result}
+    timing = {key: summary[key] for key in TIMING if key in summary}
+    if timing:
+        fields["timing"] = timing
+    return summary.get("machine"), fields
 
 
 def _spread(values: list[float]) -> dict:
@@ -85,62 +102,97 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def verdict(spread: dict, won: int, pairs: int, sign: float, bound: float):
-    """"gain", "worse" or "held" for one metric's two sides; None without runs.
+def verdict(spread: dict, won: int, pairs: int, sign: float, bound: float,
+            separated: bool):
+    """"gain", "worse", "unresolved" or "held" for one metric's two sides;
+    None without runs.
 
     A gain is at least nine tenths of the pairs won with the medians apart
     by more than the parent's interquartile range, in the change's favour.
     Worse is the change's median behind the parent's by more than ``bound``
-    times the parent's median.  ``sign`` is +1 where higher is better.
+    times the parent's median.  Otherwise a parent interquartile range wider
+    than that bound leaves the metric unresolved, since the runs cannot show
+    that it stayed within the bound, unless every change run beat every
+    parent run (``separated``).  ``sign`` is +1 where higher is better.
     """
     parent, change = spread["parent"], spread["change"]
     if parent["median"] is None or change["median"] is None:
         return None
     ahead = sign * (change["median"] - parent["median"])
-    if pairs and 10 * won >= 9 * pairs and ahead > parent["q3"] - parent["q1"]:
+    noise = parent["q3"] - parent["q1"]
+    allowed = bound * abs(parent["median"])
+    if pairs and 10 * won >= 9 * pairs and ahead > noise:
         return "gain"
-    if -ahead > bound * abs(parent["median"]):
+    if -ahead > allowed:
         return "worse"
+    if noise > allowed and not separated:
+        return "unresolved"
     return "held"
+
+
+def cold_start(timing: dict) -> float:
+    """Set-up plus the first timed pass of one run, in wall seconds: the
+    median set-up probe plus ``wall_s[0]``.  A one-time cost that moved from
+    set-up into the first pass leaves this sum where it was."""
+    return statistics.median(timing["setup_wall_s"]) + timing["wall_s"][0]
+
+
+def _wins(pairs: list[dict], sign: float) -> int:
+    """Pairs (``{"parent": value, "change": value}``) the change won."""
+    return sum(1 for p in pairs if sign * (p["change"] - p["parent"]) > 0)
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: each metric's spread on both sides, the change's wins and
-    the verdict.
+    the verdict, and the same spreads and wins of :func:`cold_start`.
 
-    ``runs`` holds ``{"workload", "seed", "side", "result"}`` entries;
-    ``end_to_end`` is ``BENCHMARK.json``'s list of metrics, each with its
-    ``name``, ``better`` ("higher" or "lower") and ``bound``.  A pair is the
-    two sides' runs of one workload and seed.
+    ``runs`` holds ``{"workload", "seed", "side", "result"}`` entries, and
+    ``timing`` where the run printed it; ``end_to_end`` is
+    ``BENCHMARK.json``'s list of metrics, each with its ``name``, ``better``
+    ("higher" or "lower") and ``bound``.  A pair is the two sides' runs of
+    one workload and seed.
     """
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
-        by_pair = {}
-        for r in mine:
-            by_pair.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+
+        def paired(value):
+            """Per seed, each side's ``value(run)``; None leaves a side out."""
+            by_seed = {}
+            for r in mine:
+                v = value(r)
+                if v is not None:
+                    by_seed.setdefault(r["seed"], {})[r["side"]] = v
+            return by_seed
+
         block = {}
         wins = {}
         verdicts = {}
         for declared in end_to_end:
             metric = declared["name"]
-            block[metric] = {
-                side: _spread([r["result"]["metrics"][metric]["value"] for r in mine
-                               if r["side"] == side and metric in r["result"]["metrics"]])
-                for side in SIDES
-            }
-            pairs = [p for p in by_pair.values()
-                     if all(metric in p.get(side, {}) for side in SIDES)]
             sign = 1.0 if declared["better"] == "higher" else -1.0
-            won = sum(1 for p in pairs if sign * (
-                p["change"][metric]["value"] - p["parent"][metric]["value"]) > 0)
+            by_seed = paired(lambda r: r["result"]["metrics"].get(metric, {}).get("value"))
+            sides = {side: [p[side] for p in by_seed.values() if side in p]
+                     for side in SIDES}
+            block[metric] = {side: _spread(sides[side]) for side in SIDES}
+            pairs = [p for p in by_seed.values() if len(p) == 2]
+            won = _wins(pairs, sign)
             wins[metric] = f"{won} of {len(pairs)}"
+            separated = all(sign * (c - p) > 0
+                            for c in sides["change"] for p in sides["parent"])
             verdicts[metric] = verdict(
-                block[metric], won, len(pairs), sign, declared["bound"])
+                block[metric], won, len(pairs), sign, declared["bound"], separated)
         block["all_correct"] = all(r["result"]["correct"] for r in mine)
         block["failed"] = sum(r["result"]["failed"] or 0 for r in mine)
         block["change_wins"] = wins
         block["verdicts"] = verdicts
+        by_seed = paired(lambda r: cold_start(r["timing"]) if "timing" in r else None)
+        pairs = [p for p in by_seed.values() if len(p) == 2]
+        block["setup_plus_first_pass_s"] = {
+            **{side: _spread([p[side] for p in by_seed.values() if side in p])
+               for side in SIDES},
+            "change_wins": f"{_wins(pairs, -1.0)} of {len(pairs)}",
+        }
         summary[workload] = block
     return summary
 
