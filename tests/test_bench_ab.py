@@ -155,18 +155,19 @@ def test_verdict_thresholds(won, change_median, bound, separated, expected):
 
 
 def test_runs_keep_their_timing_and_the_summary_adds_set_up_plus_first_pass():
-    def timing(setup, first):
-        return {"wall_s": [first, 1.0], "speed_factor": [1.0, 1.0],
-                "setup_wall_s": [setup, setup + 1.0, setup - 1.0]}
+    def times(setup, first):
+        return {"wall_s": [first, 1.0, 2.0], "speed_factor": [1.0, 1.0, 1.0],
+                "setup_wall_s": [setup + 1.0, setup, setup - 1.0]}
 
-    _, fields = bench_ab.outcome(0, _stdout(1.0, 0.4, timing=timing(0.25, 0.125)), "")
-    assert fields["timing"] == timing(0.25, 0.125)
+    _, fields = bench_ab.outcome(0, _stdout(1.0, 0.4, timing=times(0.25, 0.125)), "")
+    assert fields["timing"] == {"setup_wall_s": 0.25, "first_pass_wall_s": 0.125,
+                                "median_pass_wall_s": 1.0, "passes": 3}
     assert bench_ab.cold_start(fields["timing"]) == 0.375
     runs = []
     for seed in range(4):
         # The change moves 0.125 s of set-up into a first pass 0.375 s longer.
-        sides = {"parent": _stdout(1.0, 0.4, timing=timing(0.25 + seed, 0.125)),
-                 "change": _stdout(1.0, 0.3, timing=timing(0.125 + seed, 0.5))}
+        sides = {"parent": _stdout(1.0, 0.4, timing=times(0.25 + seed, 0.125)),
+                 "change": _stdout(1.0, 0.3, timing=times(0.125 + seed, 0.5))}
         if seed == 3:
             sides["change"] = ""  # a crashed run has no timing
         for side, stdout in sides.items():

@@ -12,8 +12,8 @@ alternates, the parent first in each workload's first pair.  The file holds
 every run's result line and, per workload and end-to-end metric, each side's
 median and quartiles, the number of pairs the change won (ties count for
 neither side) and a verdict (see :func:`verdict`).  Each run keeps its exit
-code, the last line of its standard error and its pass and set-up times
-(see :data:`TIMING`) beside its result line.  Per workload the summary also
+code, the last line of its standard error and its wall times (see
+:func:`timing`) beside its result line.  Per workload the summary also
 gives the set-up plus the first timed pass (see :func:`cold_start`), where a
 one-time cost that moved out of ``setup_s`` shows.
 """
@@ -34,10 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SIDES = ("parent", "change")
-
-#: Lists of ``bench/run.py``'s summary line that each run keeps: each timed
-#: pass's wall time and CPU speed factor, and each set-up probe's wall time.
-TIMING = ("wall_s", "speed_factor", "setup_wall_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -82,16 +78,26 @@ def outcome(exit_code: int, stdout: str, stderr: str) -> tuple[dict | None, dict
 
     The fields hold the run's exit code and the last line it wrote to
     standard error besides its result, so a crashed run names its cause,
-    and the run's :data:`TIMING` lists, if it printed them, as ``timing``.
+    and its :func:`timing` when it printed the times.
     """
     summary, result = _summary_and_result(stdout)
     lines = stderr.rstrip().splitlines()
     tail = lines[-1] if lines else None
     fields = {"exit_code": exit_code, "stderr_tail": tail, "result": result}
-    timing = {key: summary[key] for key in TIMING if key in summary}
-    if timing:
-        fields["timing"] = timing
+    if "wall_s" in summary and "setup_wall_s" in summary:
+        fields["timing"] = timing(summary)
     return summary.get("machine"), fields
+
+
+def timing(summary: dict) -> dict:
+    """Wall times, in seconds, from ``bench/run.py``'s summary line: the
+    median set-up probe, the first timed pass, the median pass and the
+    number of passes.  The end-to-end metrics are medians, so a one-time
+    cost that lands in the first pass shows only here."""
+    walls = summary["wall_s"]
+    return {"setup_wall_s": statistics.median(summary["setup_wall_s"]),
+            "first_pass_wall_s": walls[0],
+            "median_pass_wall_s": statistics.median(walls), "passes": len(walls)}
 
 
 def _spread(values: list[float]) -> dict:
@@ -130,11 +136,11 @@ def verdict(spread: dict, won: int, pairs: int, sign: float, bound: float,
     return "held"
 
 
-def cold_start(timing: dict) -> float:
-    """Set-up plus the first timed pass of one run, in wall seconds: the
-    median set-up probe plus ``wall_s[0]``.  A one-time cost that moved from
-    set-up into the first pass leaves this sum where it was."""
-    return statistics.median(timing["setup_wall_s"]) + timing["wall_s"][0]
+def cold_start(times: dict) -> float:
+    """Set-up plus the first timed pass of one run's :func:`timing`.  A
+    one-time cost that moved from set-up into the first pass leaves this
+    sum where it was."""
+    return times["setup_wall_s"] + times["first_pass_wall_s"]
 
 
 def _wins(pairs: list[dict], sign: float) -> int:
