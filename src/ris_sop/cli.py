@@ -41,6 +41,9 @@ from .sysmodel import SystemConfig
 
 AXES = ("gamma0_db", "n_elements", "n_users", "d_sr", "d_rd", "d_re", "r_th")
 _MAX_GRID = 1_000_000
+#: Most random variates a sweep's Monte Carlo may draw.  One costs 9-23 ns on
+#: one core, 41 ns at worst (paired, N=1): at most about 11 hours of draws.
+_MAX_VARIATES = 10**12
 #: Probabilities below quadrature/MC resolution are reported as exact zero.
 SOP_FLOOR = 1e-12
 
@@ -87,6 +90,11 @@ class SweepSpec:
             raise ConfigError(f"mc_trials must be a positive integer, got {trials!r}")
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        per_slot = _work(self)[2]
+        if per_slot * trials > _MAX_VARIATES:
+            raise ConfigError(f"Monte Carlo draws {per_slot} variates per slot summed "
+                              f"over the grid x {trials} trials = {per_slot * trials} "
+                              f"variates, cap is {_MAX_VARIATES}")
 
     def _checked_axes(self) -> tuple[tuple[str, tuple], ...]:
         given = {}

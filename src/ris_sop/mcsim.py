@@ -113,10 +113,12 @@ def _wilson(outages: int, trials: int) -> McEstimate:
     )
 
 
-#: Most slots per piece a kernel draws and reduces at a time.
+#: Most slots per piece.  It binds only at small n_elements * n_users, where
+#: the NOMA kernel's per-slot vectors outweigh its largest array.
 _PIECE_SLOTS = 2048
-#: Most bytes in a piece's largest array.
-_PIECE_BYTES = 4 << 20
+#: Most bytes in a piece's largest array: 1 MiB keeps a kernel's working set
+#: near one core's 2 MiB L2 cache (see :func:`_slots`).
+_PIECE_BYTES = 1 << 20
 
 
 def _slots(cfg, p, seed, block, size, independent, slot_bytes):
@@ -137,14 +139,12 @@ def _slots(cfg, p, seed, block, size, independent, slot_bytes):
 
     The chunk's generators are created once and read in pieces of at most
     :data:`_PIECE_SLOTS` slots whose largest array, ``slot_bytes`` per slot
-    in the calling kernel, fits in :data:`_PIECE_BYTES`, so a kernel's
-    working set stays a few MB whatever the chunk size, ``n_elements`` and
-    ``n_users``.  Larger pieces also leave larger freed blocks in each
-    thread's malloc arena, and the peak RSS of a run then depends on which
-    threads happen to run which kernels.  Every quantity is per slot, and a
-    Philox stream read piece after piece yields the same values as one
-    whole-chunk draw, so the pieces leave every draw and every count
-    bit-identical.
+    in the calling kernel, fits in :data:`_PIECE_BYTES`.  So a kernel's
+    working set stays about 3 MiB at any size, and no large freed block is
+    left in a thread's malloc arena to swell a run's RSS.  Every quantity is
+    per slot, and a Philox stream read piece after piece yields the same
+    values as one whole-chunk draw, so the pieces leave every draw and every
+    count bit-identical.
     """
     n = cfg.n_elements
     sr, eav = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_EAV)

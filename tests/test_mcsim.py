@@ -14,7 +14,6 @@ from ris_sop import mcsim
 from ris_sop.errors import ContractError, DomainError
 from ris_sop.mcsim import (
     _PIECE_BYTES,
-    _PIECE_SLOTS,
     _TAG_DEST_RD,
     _TAG_DEST_SR,
     _TAG_EAV,
@@ -205,6 +204,9 @@ class TestNomaEstimates:
         assert ests["NOMA_BU"].outages >= ests["OUS"].outages
 
 
+_KERNELS = ("_ous_chunk", "_noma_chunk")
+
+
 class TestChunkPieces:
     @pytest.mark.parametrize("mode", MODES)
     def test_pieces_reproduce_whole_chunk_draws(self, mode):
@@ -212,8 +214,9 @@ class TestChunkPieces:
         _, gamma_e = _whole_chunk_snrs(CFG, 40_000, 7, independent)
         assert sample_gamma_e(CFG, 40_000, 7, mode).tobytes() == gamma_e.tobytes()
         # Two full chunks, then a chunk that ends inside its second piece.
-        trials = 35_000
-        assert _PIECE_SLOTS < trials % CHUNK_SLOTS < 2 * _PIECE_SLOTS
+        trials = 2 * CHUNK_SLOTS + 1000
+        step = _step("_ous_chunk")
+        assert step < trials % CHUNK_SLOTS < 2 * step
         gamma_d, gamma_e = _whole_chunk_snrs(CFG, trials, 7, independent)
         outages = np.count_nonzero(gamma_d < PARAMS.rho * gamma_e + PARAMS.offset)
         assert outages > 0
@@ -221,8 +224,9 @@ class TestChunkPieces:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_counts_do_not_depend_on_the_piece_size(self, mode, monkeypatch):
-        # 1,000 slots divides neither CHUNK_SLOTS nor either kernel's default
-        # piece (2,048 and 1,365 slots here), so every piece boundary moves.
+        # A 700,000-byte budget gives pieces of 455 (OUS) and 227 (NOMA)
+        # slots here, against 682 and 341 by default; each divides neither
+        # CHUNK_SLOTS nor its kernel's default, so every piece boundary moves.
         trials = 35_000
 
         def counts():
@@ -232,15 +236,20 @@ class TestChunkPieces:
 
         default = counts()
         assert default[0] > 0 and all(default[1].values())
-        monkeypatch.setattr(mcsim, "_PIECE_SLOTS", 1000)
-        assert CHUNK_SLOTS % mcsim._PIECE_SLOTS
+        steps = {kernel: _step(kernel) for kernel in _KERNELS}
+        monkeypatch.setattr(mcsim, "_PIECE_BYTES", 700_000)
+        for kernel, default_step in steps.items():
+            step = _step(kernel)
+            assert step != default_step
+            assert CHUNK_SLOTS % step and default_step % step
         assert counts() == default
 
-    @pytest.mark.parametrize("kernel", ["_ous_chunk", "_noma_chunk"])
+    @pytest.mark.parametrize("kernel", _KERNELS)
     @pytest.mark.parametrize("n_users", [3, 8])
     def test_piece_working_set_is_capped(self, kernel, n_users):
         # The per-piece arrays grow with n_elements * n_users; the byte cap
-        # keeps a kernel's peak allocation a few pieces' worth at any M.
+        # keeps a kernel's peak allocation at 2.15-3.05 budgets (the NOMA
+        # kernel at M=3 the most) at any M.
         cfg = SystemConfig(n_elements=64, n_users=n_users)
         p = derive_clt_params(cfg)
         tracemalloc.start()
@@ -249,7 +258,23 @@ class TestChunkPieces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * _PIECE_BYTES
+        assert peak < 3.5 * _PIECE_BYTES
+
+
+def _step(kernel, cfg=CFG):
+    """Slots per piece of ``kernel`` at ``cfg``: the size of the first piece
+    it reads of a full chunk, through a ``_slots`` that stops there."""
+    sizes, slots = [], mcsim._slots
+
+    def first_piece(*args):
+        piece = next(slots(*args))
+        sizes.append(len(piece[0]))
+        yield piece
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcsim, "_slots", first_piece)
+        getattr(mcsim, kernel)(cfg, derive_clt_params(cfg), 7, 0, CHUNK_SLOTS, False)
+    return sizes[0]
 
 
 def _whole_chunk_snrs(cfg, slots, seed, independent):
