@@ -144,25 +144,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cap"):
             parse_config(json.dumps(doc))
 
-    @pytest.mark.parametrize("schemes", [("OUS",), ("OUS", "NOMA_BU")])
-    def test_variate_cap(self, schemes):
-        # Per slot the default point (N=64, M=3) draws 257 variates in the
-        # OUS pass and 449 in the paired one; the cap admits the most whole
-        # trials that fit and refuses one more.
-        spec = dataclasses.replace(parse_config("{}"), schemes=schemes)
-        per_slot = cli._work(spec)[2]
-        assert per_slot == (257 if schemes == ("OUS",) else 449)
-        trials = cli._MAX_VARIATES // per_slot
+    def test_variate_cap(self):
+        # Per slot the default point (N=64, M=3, OUS) draws 257 variates; the
+        # cap admits the most whole trials that fit and refuses one more.
+        spec = parse_config("{}")
+        assert cli._work(spec)[2] == 257
+        trials = cli._MAX_VARIATES // 257
         assert dataclasses.replace(spec, mc_trials=trials).mc_trials == trials
         with pytest.raises(ConfigError) as info:
             dataclasses.replace(spec, mc_trials=trials + 1)
         assert str(info.value) == (
-            f"Monte Carlo draws {per_slot} variates per slot summed over the grid "
-            f"x {trials + 1} trials = {per_slot * (trials + 1)} variates, "
+            "Monte Carlo draws 257 variates per slot summed over the grid "
+            f"x {trials + 1} trials = {257 * (trials + 1)} variates, "
             f"cap is {cli._MAX_VARIATES}")
         # Without the Monte Carlo evaluator nothing is drawn or capped.
-        assert dataclasses.replace(spec, schemes=("OUS",), evaluators=("closed",),
-                                   mc_trials=trials + 1).mc_trials == trials + 1
+        analytic = dataclasses.replace(spec, evaluators=("closed",), mc_trials=trials + 1)
+        assert analytic.mc_trials == trials + 1
 
 
 @pytest.fixture(scope="module")

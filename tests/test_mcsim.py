@@ -261,8 +261,8 @@ class TestChunkPieces:
         assert peak < 3.5 * _PIECE_BYTES
 
 
-def _step(kernel, cfg=CFG):
-    """Slots per piece of ``kernel`` at ``cfg``: the size of the first piece
+def _step(kernel):
+    """Slots per piece of ``kernel`` at ``CFG``: the size of the first piece
     it reads of a full chunk, through a ``_slots`` that stops there."""
     sizes, slots = [], mcsim._slots
 
@@ -273,7 +273,7 @@ def _step(kernel, cfg=CFG):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcsim, "_slots", first_piece)
-        getattr(mcsim, kernel)(cfg, derive_clt_params(cfg), 7, 0, CHUNK_SLOTS, False)
+        getattr(mcsim, kernel)(CFG, PARAMS, 7, 0, CHUNK_SLOTS, False)
     return sizes[0]
 
 
