@@ -32,9 +32,9 @@ from typing import Callable
 
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
-from .errors import PACKAGE_ERRORS, ConfigError
-from .mcsim import (SCHEMES, McEstimate, _usable_cpus, estimate_schemes_paired,
-                    estimate_sop, variates_per_slot)
+from .errors import PACKAGE_ERRORS, ConfigError, ContractError
+from .mcsim import (SCHEMES, McEstimate, _estimates, _usable_cpus, estimate_sop,
+                    variates_per_slot)
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
@@ -276,28 +276,20 @@ def _analytic(column: str, evaluate, attr: str) -> Route:
                  lambda result, seed: {column: _floor(value(result))}, value)
 
 
-def _paired(spec: SweepSpec, n_users: int) -> bool:
-    """Whether a Monte Carlo point with ``n_users`` users runs the paired NOMA
-    pass, which also counts the OUS outages: a NOMA scheme is asked for and
-    the point has a pair.  Otherwise the OUS estimator runs, if OUS is."""
-    return spec.schemes != ("OUS",) and n_users >= 2
-
-
 def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dict:
-    """One Monte Carlo pass per point, its chunks on ``executor``, chosen by
-    :func:`_paired`.  The paired NOMA pass counts the OUS outages on its own
-    draws, so NOMA_BU >= OUS holds exactly in every row pair.  Without a pair
-    (M = 1) the NOMA schemes record the paired estimator's refusal, which
-    comes before any draw."""
-    paired = _paired(spec, cfg.n_users)
+    """One Monte Carlo pass per point, its chunks on ``executor``: the OUS
+    estimator for OUS alone, else the pass ``mcsim`` chooses, which counts
+    OUS on the NOMA draws (so NOMA_BU >= OUS exactly).  Without a pair (M = 1)
+    the NOMA rows record that pass's refusal and OUS runs alone."""
     results = {}
     if spec.schemes != ("OUS",):
         try:
-            results = estimate_schemes_paired(
-                cfg, spec.mc_trials, seed, executor=executor)
+            return _estimates(cfg, spec.schemes, spec.mc_trials, seed, executor=executor)
+        except ContractError as exc:
+            results = dict.fromkeys(spec.schemes, exc)
         except Exception as exc:  # noqa: BLE001 - recorded per row
-            results = {scheme: exc for scheme in SCHEMES if paired or scheme != "OUS"}
-    if "OUS" in spec.schemes and not paired:
+            return dict.fromkeys(spec.schemes, exc)
+    if "OUS" in spec.schemes:
         results["OUS"] = _caught(
             estimate_sop, cfg, "OUS", spec.mc_trials, seed, executor=executor)
     return results
@@ -306,7 +298,7 @@ def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dic
 def _work(spec: SweepSpec) -> tuple[int, int, int]:
     """(grid points, Monte Carlo slots, variates per slot summed over the
     grid) of a sweep of ``spec``, counted from the spec alone; each point's
-    pass is the one :func:`_paired` chooses for ``_run_mc``."""
+    pass is the one ``_run_mc`` runs."""
     axes = dict(spec.axes)
     points = math.prod(map(len, axes.values()))
     ns = axes.get("n_elements", (spec.base.n_elements,))
@@ -315,10 +307,10 @@ def _work(spec: SweepSpec) -> tuple[int, int, int]:
     passes = per_slot = 0
     if "mc" in spec.evaluators:
         for n, m in product(ns, ms):
-            paired = _paired(spec, m)
-            if paired or "OUS" in spec.schemes:
+            asked = variates_per_slot(n, m, spec.schemes != ("OUS",))
+            if asked or "OUS" in spec.schemes:
                 passes += repeats
-                per_slot += repeats * variates_per_slot(n, m, paired)
+                per_slot += repeats * (asked or variates_per_slot(n, m, False))
     return points, passes * spec.mc_trials, per_slot
 
 

@@ -16,12 +16,13 @@ model parameters once and calls a chunk kernel on each block of
 bounded window of them at a time, and the driver returns their results in
 block order.  The pool is the caller's when it passes one (a sweep shares
 one pool among all its points and threads) and lives for the one call
-otherwise.  The estimators only reduce that list, so a new estimator
-inherits the contract unchanged.  One draw loop, :func:`_slots`, feeds
-every kernel: it reads the chunk's shared source-to-surface and
-eavesdropper streams piece by piece and hands each piece's element powers
-and eavesdropper SNR to the kernel, which draws only its own
-surface-to-user links and scores the slots.
+otherwise.  One function, :func:`_pass`, picks the kernel for the requested
+schemes, and one reducer, :func:`_estimates`, turns its chunk counts into
+every estimate, so a new estimator inherits the contract unchanged.  One
+draw loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
+source-to-surface and eavesdropper streams piece by piece and hands each
+piece's element powers and eavesdropper SNR to the kernel, which draws
+only its own surface-to-user links and scores the slots.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is
@@ -157,14 +158,6 @@ def _slots(cfg, p, seed, block, size, independent, slot_bytes):
         yield g_sr, p.gamma0 * p.zeta_re * (p.zeta_sr * s) * eav.standard_exponential(k)
 
 
-def variates_per_slot(n_elements: int, n_users: int, paired: bool) -> int:
-    """Random variates one physical-mode slot draws: N source-to-surface
-    powers and one eavesdropper draw in :func:`_slots`, plus N*M
-    surface-to-user powers in the OUS kernel or 2*N*M normals (the complex
-    coefficients) in the paired NOMA kernel."""
-    return (2 if paired else 1) * n_elements * n_users + n_elements + 1
-
-
 def _outages(p, gamma, gamma_e) -> int:
     """How many slots have scheduled SNR ``gamma < p.rho * gamma_e + p.offset``.
 
@@ -179,7 +172,7 @@ def _outages(p, gamma, gamma_e) -> int:
         return int(np.count_nonzero(gamma < p.rho * gamma_e + p.offset))
 
 
-def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
+def _ous_chunk(cfg, p, seed, block, size, independent) -> tuple[int]:
     n, m = cfg.n_elements, cfg.n_users
     rd = _rng(seed, block, _TAG_DEST_RD)
     outages = 0
@@ -189,7 +182,7 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> int:
         sums = np.matmul(np.sqrt(g_sr)[:, None, :], g_rd)[:, 0, :]
         gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * sums.max(axis=1) ** 2
         outages += _outages(p, gamma_d, gamma_e)
-    return outages
+    return (outages,)
 
 
 def _noma_chunk(cfg, p, seed, block, size, independent):
@@ -235,6 +228,27 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
 def _gamma_e_chunk(cfg, p, seed, block, size, independent):
     slots = _slots(cfg, p, seed, block, size, independent, 8 * cfg.n_elements)
     return np.concatenate([gamma_e for _, gamma_e in slots])
+
+
+def _pass(schemes, n: int, m: int):
+    """The one pass serving ``schemes`` at N = ``n``, M = ``m``: its kernel, the
+    schemes its chunks' count tuples hold, in order, and its variates per
+    physical-mode slot: N + 1 in :func:`_slots`, plus N*M for OUS or 2*N*M
+    (complex links) for NOMA, which at M = 1 has no pair: ``ContractError``."""
+    if set(schemes) == {"OUS"}:
+        return _ous_chunk, ("OUS",), n * m + n + 1
+    if m < 2:
+        raise ContractError(f"NOMA pairing needs n_users >= 2, got {m}")
+    return _noma_chunk, ("NOMA_BU", "NOMA_WU", "OUS"), 2 * n * m + n + 1
+
+
+def variates_per_slot(n_elements: int, n_users: int, paired: bool) -> int:
+    """Variates one physical-mode slot draws in the pass for the NOMA schemes
+    (``paired``) or OUS alone; 0 where no such pass runs (see :func:`_pass`)."""
+    try:
+        return _pass(SCHEMES if paired else ("OUS",), n_elements, n_users)[2]
+    except ContractError:
+        return 0
 
 
 def _usable_cpus() -> int:
@@ -309,6 +323,14 @@ def _windowed(executor, run, blocks) -> list:
     return results
 
 
+def _estimates(cfg, schemes, trials, seed, mode="physical", *, executor=None) -> dict:
+    """Each scheme the pass serving ``schemes`` counts (see :func:`_pass`),
+    mapped to its Wilson estimate: the one reduction of chunk counts."""
+    kernel, counted, _ = _pass(schemes, cfg.n_elements, cfg.n_users)
+    chunks = _per_chunk(kernel, cfg, trials, seed, mode, executor=executor)
+    return {s: _wilson(sum(column), trials) for s, column in zip(counted, zip(*chunks))}
+
+
 def estimate_sop(
     cfg: SystemConfig,
     scheme: str,
@@ -318,19 +340,12 @@ def estimate_sop(
     *,
     executor: ThreadPoolExecutor | None = None,
 ) -> McEstimate:
-    """Monte Carlo SOP estimate for one scheme at one operating point.
-
-    A NOMA scheme runs the whole paired pass of
-    :func:`estimate_schemes_paired` and returns its scheme's estimate.  The
-    chunks run on ``executor`` when one is given (see :func:`_per_chunk`).
-    """
+    """Monte Carlo SOP estimate for one scheme at one operating point, from
+    the pass that serves it (see :func:`_pass`).  The chunks run on
+    ``executor`` when one is given (see :func:`_per_chunk`)."""
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if scheme != "OUS":
-        paired = estimate_schemes_paired(cfg, trials, seed, mode, executor=executor)
-        return paired[scheme]
-    counts = _per_chunk(_ous_chunk, cfg, trials, seed, mode, executor=executor)
-    return _wilson(sum(counts), trials)
+    return _estimates(cfg, (scheme,), trials, seed, mode, executor=executor)[scheme]
 
 
 def estimate_noma_pair(
@@ -340,7 +355,7 @@ def estimate_noma_pair(
     mode: str = "physical",
 ) -> tuple[McEstimate, McEstimate]:
     """Both NOMA users' SOP estimates from one shared simulation pass."""
-    est = estimate_schemes_paired(cfg, trials, seed, mode)
+    est = _estimates(cfg, ("NOMA_BU", "NOMA_WU"), trials, seed, mode)
     return est["NOMA_BU"], est["NOMA_WU"]
 
 
@@ -360,15 +375,7 @@ def estimate_schemes_paired(
     rather than statistical.  The chunks run on ``executor`` when one is
     given (see :func:`_per_chunk`).
     """
-    if cfg.n_users < 2:
-        raise ContractError(f"NOMA pairing needs n_users >= 2, got {cfg.n_users}")
-    counts = _per_chunk(_noma_chunk, cfg, trials, seed, mode, executor=executor)
-    bu, wu, ous = (sum(column) for column in zip(*counts))
-    return {
-        "NOMA_BU": _wilson(bu, trials),
-        "NOMA_WU": _wilson(wu, trials),
-        "OUS": _wilson(ous, trials),
-    }
+    return _estimates(cfg, SCHEMES, trials, seed, mode, executor=executor)
 
 
 def sample_gamma_e(
