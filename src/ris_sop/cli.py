@@ -33,17 +33,14 @@ from typing import Callable
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError, ContractError
-from .mcsim import (SCHEMES, McEstimate, _estimates, _usable_cpus, estimate_sop,
-                    variates_per_slot)
+from .mcsim import (_MAX_VARIATES, SCHEMES, McEstimate, _estimates, _usable_cpus,
+                    estimate_sop, variates_per_slot)
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
 
 AXES = ("gamma0_db", "n_elements", "n_users", "d_sr", "d_rd", "d_re", "r_th")
 _MAX_GRID = 1_000_000
-#: Most random variates a sweep's Monte Carlo may draw.  One costs 9-23 ns on
-#: one core, 41 ns at worst (paired, N=1): at most about 11 hours of draws.
-_MAX_VARIATES = 10**12
 #: Probabilities below quadrature/MC resolution are reported as exact zero.
 SOP_FLOOR = 1e-12
 

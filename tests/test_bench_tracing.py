@@ -4,6 +4,7 @@ and the sweep must call each evaluator through the name the tracer wraps."""
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -53,6 +54,30 @@ def test_a_traced_monte_carlo_sweep_calls_the_ous_estimator_once_per_point(traci
     index = tracing.SpanIndex(tracer.spans)
     assert index.count("ris_sop.cli.estimate_sop") == 3
     assert index.count("ris_sop.cli._evaluate_point") == 3
+
+
+def _chunk_spans(tracing, schemes):
+    """(OUS, NOMA) chunk-kernel spans of a traced two-point Monte Carlo sweep
+    of ``schemes`` at 40,000 trials: three chunks per point."""
+    sweep = parse_config(json.dumps({
+        "sweep": {"gamma0_db": [0, 20]}, "schemes": schemes, "evaluators": ["mc"],
+        "mc_trials": 40_000,
+    }))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        run_sweep(sweep)
+    index = tracing.SpanIndex(tracer.spans)
+    return (index.count("ris_sop.mcsim._ous_chunk"),
+            index.count("ris_sop.mcsim._noma_chunk"))
+
+
+def test_a_traced_paired_sweep_records_one_noma_span_per_chunk(tracing):
+    # The pass table must look its kernels up when a pass runs, or the
+    # benchmark's wrappers see no chunk.
+    assert _chunk_spans(tracing, ["OUS", "NOMA_BU"]) == (0, 6)
+
+
+def test_a_traced_ous_sweep_records_one_ous_span_per_chunk(tracing):
+    assert _chunk_spans(tracing, ["OUS"]) == (6, 0)
 
 
 def _unused_reimports():

@@ -236,6 +236,26 @@ class TestRunSweep:
         assert row.error is not None and "mc" in row.error
         assert row.sop_mc is None
 
+    def test_an_evaluator_that_serves_no_requested_scheme_is_skipped(self, monkeypatch):
+        # The closed form serves OUS alone; a failure in it would be recorded
+        # on an OUS row that does not exist, so count its calls instead.
+        calls = []
+        monkeypatch.setattr(cli, "sop_closed_form", calls.append)
+        spec = parse_config(json.dumps({
+            "base": {"n_elements": 16},
+            "sweep": {"gamma0_db": [0.0, 10.0]},
+            "schemes": ["NOMA_BU"],
+            "evaluators": ["closed", "mc"],
+            "mc_trials": 2000,
+        }))
+        rows = run_sweep(spec)
+        assert [row.scheme for row in rows] == ["NOMA_BU", "NOMA_BU"]
+        for row in rows:
+            assert row.error is None
+            assert row.sop_mc is not None and row.mc_trials == 2000
+            assert row.sop_closed is None
+        assert calls == []
+
     def test_every_result_column_comes_from_exactly_one_route(self):
         spec = parse_config(FAST)
         filled = []
@@ -581,12 +601,16 @@ class TestMain:
             ('{"schemes": [{}]}', "unknown scheme {}"),
             ('{"schemes": ["NOMA_BU"], "evaluators": ["closed"]}',
              "no requested evaluator serves scheme 'NOMA_BU'"),
+            ('["OUS"]', "top-level config must be a JSON object"),
+            ('{"base": [64, 3]}', "'base' must be an object"),
+            ('{"sweep": [0, 10]}', "'sweep' must be an object mapping axis -> values"),
         ],
         ids=["axis-negative", "axis-nan", "axis-inf", "axis-minus-inf",
              "base-nan", "base-inf", "base-minus-inf", "base-huge-float-field",
              "axis-huge-float-field", "base-huge-int-field", "axis-huge-int-field",
              "digit-limit", "evaluator-unhashable", "scheme-unhashable",
-             "scheme-unserved"],
+             "scheme-unserved", "document-not-object", "base-not-object",
+             "sweep-not-object"],
     )
     def test_every_subcommand_rejects_bad_values(
         self, tmp_path, capsys, document, message

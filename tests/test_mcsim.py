@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,12 +21,14 @@ from ris_sop.mcsim import (
     CHUNK_SLOTS,
     MODES,
     NOMA_A_BU,
+    SCHEMES,
     _rng,
     _wilson,
     estimate_noma_pair,
     estimate_schemes_paired,
     estimate_sop,
     sample_gamma_e,
+    variates_per_slot,
 )
 from ris_sop.quadrature import sop_quad_exact_q
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
@@ -204,6 +206,115 @@ class TestNomaEstimates:
         assert ests["NOMA_BU"].outages >= ests["OUS"].outages
 
 
+def _count_draws(monkeypatch):
+    """A list that collects the size of every draw through ``mcsim._rng``."""
+    drawn, lock, real = [], threading.Lock(), mcsim._rng
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                out = getattr(self._gen, name)(*args, **kwargs)
+                with lock:
+                    drawn.append(out.size)
+                return out
+            return draw
+
+    monkeypatch.setattr(mcsim, "_rng", lambda *key: Counting(real(*key)))
+    return drawn
+
+
+def _no_draws(*key):
+    raise AssertionError("drew past the variate cap")
+
+
+#: Every non-empty set of schemes, in canonical order.
+_SCHEME_SETS = [c for r in range(1, 4) for c in combinations(SCHEMES, r)]
+
+
+class TestPassTable:
+    """The one pass each requested scheme set runs, at M = 1, 2 and 3."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    @pytest.mark.parametrize("schemes", _SCHEME_SETS, ids="+".join)
+    def test_each_scheme_set_runs_one_pass(self, schemes, n_users, mode, monkeypatch):
+        cfg = SystemConfig(n_elements=8, n_users=n_users, gamma0_db=10.0, r_th=0.3)
+        trials, seed = 3000, 5
+        paired = schemes != ("OUS",)
+        drawn = _count_draws(monkeypatch)
+        if paired and n_users == 1:
+            # No NOMA pair: every route to the pass refuses before any draw.
+            calls = [
+                lambda: mcsim._estimates(cfg, schemes, trials, seed, mode),
+                lambda: estimate_schemes_paired(cfg, trials, seed, mode),
+                lambda: estimate_noma_pair(cfg, trials, seed, mode),
+                *(lambda s=s: estimate_sop(cfg, s, trials, seed, mode)
+                  for s in schemes if s != "OUS"),
+            ]
+            for call in calls:
+                with pytest.raises(ContractError, match="needs n_users >= 2, got 1"):
+                    call()
+            assert drawn == []
+            assert variates_per_slot(8, 1, True) == 0
+            return
+        got = mcsim._estimates(cfg, schemes, trials, seed, mode)
+        assert tuple(got) == (("NOMA_BU", "NOMA_WU", "OUS") if paired else ("OUS",))
+        if mode == "physical":
+            assert sum(drawn) == variates_per_slot(8, n_users, paired) * trials
+        # estimate_sop runs its one scheme's pass: this one for a NOMA scheme,
+        # and for OUS only where OUS alone was asked for.
+        for scheme in schemes:
+            if scheme != "OUS" or not paired:
+                assert estimate_sop(cfg, scheme, trials, seed, mode) == got[scheme]
+        if paired:
+            assert estimate_schemes_paired(cfg, trials, seed, mode) == got
+            pair = estimate_noma_pair(cfg, trials, seed, mode)
+            assert pair == (got["NOMA_BU"], got["NOMA_WU"])
+
+
+class TestVariateCap:
+    """No estimate draws past ``mcsim._MAX_VARIATES`` random variates."""
+
+    def test_a_run_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_rng", _no_draws)
+        per_slot = variates_per_slot(64, 3, False)
+        assert per_slot == 257
+        trials = mcsim._MAX_VARIATES // per_slot + 1
+        with pytest.raises(DomainError) as info:
+            estimate_sop(CFG, "OUS", trials, seed=1)
+        assert str(info.value) == (
+            f"{trials} slots x 257 variates = {257 * trials} variates, "
+            f"cap is {mcsim._MAX_VARIATES}")
+        samples = mcsim._MAX_VARIATES // 65 + 1  # N + 1 variates per sample
+        with pytest.raises(DomainError, match=f"= {65 * samples} variates, cap is"):
+            sample_gamma_e(CFG, samples, seed=1)
+
+    @pytest.mark.parametrize("estimate, per_slot", [
+        (lambda trials: estimate_sop(CFG, "OUS", trials, seed=1), 257),
+        (lambda trials: estimate_sop(CFG, "NOMA_WU", trials, seed=1), 449),
+        (lambda trials: estimate_schemes_paired(CFG, trials, seed=1), 449),
+        (lambda trials: estimate_noma_pair(CFG, trials, seed=1), 449),
+        (lambda trials: sample_gamma_e(CFG, trials, seed=1), 65),
+    ], ids=["ous", "noma-scheme", "paired", "noma-pair", "gamma-e"])
+    def test_the_cap_admits_a_run_that_reaches_it(self, estimate, per_slot, monkeypatch):
+        monkeypatch.setattr(mcsim, "_MAX_VARIATES", 100 * per_slot)
+        estimate(100)  # exactly at the cap
+        monkeypatch.setattr(mcsim, "_rng", _no_draws)
+        message = f"101 slots x {per_slot} variates = {101 * per_slot} variates"
+        with pytest.raises(DomainError, match=message):
+            estimate(101)
+
+    def test_the_cap_comes_after_the_trial_and_seed_checks(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_MAX_VARIATES", 0)
+        for trials, seed, name in ((0, 1, "trials"), (1.5, 1, "trials"),
+                                   (10, -1, "seed"), (10, 2**64, "seed")):
+            with pytest.raises(DomainError, match=name):
+                estimate_sop(CFG, "OUS", trials, seed)
+
+
 _KERNELS = ("_ous_chunk", "_noma_chunk")
 
 
@@ -352,7 +463,7 @@ class TestThreadedDriver:
 
         monkeypatch.setattr(mcsim, "ThreadPoolExecutor", CountingPool)
         blocks = 1000
-        got = mcsim._per_chunk(noop, CFG, blocks * CHUNK_SLOTS, 1, "physical")
+        got = mcsim._per_chunk(noop, CFG, blocks * CHUNK_SLOTS, 1, "physical", 0)
         assert got == list(range(blocks))
         assert pools == [min(mcsim._usable_cpus(), blocks)]
         assert peak[0] <= mcsim._WINDOW * pools[0]
@@ -361,7 +472,7 @@ class TestThreadedDriver:
         peak[0] = 0
         with CountingPool(3) as shared:
             got = mcsim._per_chunk(
-                noop, CFG, blocks * CHUNK_SLOTS, 1, "physical", executor=shared)
+                noop, CFG, blocks * CHUNK_SLOTS, 1, "physical", 0, executor=shared)
             assert got == list(range(blocks))
             assert shared.submit(int).result() == 0
         assert pools == [min(mcsim._usable_cpus(), blocks), 3]

@@ -8,6 +8,7 @@ from ris_sop import quadrature
 from ris_sop.errors import AccuracyError, DomainError, EvaluationError
 from ris_sop.quadrature import (
     SOP_MAX_SUBDIVISIONS,
+    QuadResult,
     integrate_semi_infinite,
     sop_quad_approx_q,
     sop_quad_asymptotic,
@@ -93,6 +94,18 @@ class TestIntegrator:
     def test_finite_upper(self):
         res = integrate_semi_infinite(_pdf, LAM, upper=LAM)
         assert res.value == pytest.approx(1 - math.exp(-1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("lower, upper", [(LAM, LAM), (2 * LAM, LAM), (0.0, 0.0)])
+    def test_an_empty_range_is_zero_without_a_call(self, lower, upper):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        res = integrate_semi_infinite(f, LAM, lower=lower, upper=upper)
+        assert res == QuadResult(0.0, 0.0, 0)
+        assert calls == []
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
