@@ -115,11 +115,9 @@ def integrate_semi_infinite(
     integrand: Callable[[np.ndarray], np.ndarray],
     lambda_scale: float,
     *,
-    lower: float = 0.0,
-    upper: float | None = None,
     breakpoints: tuple[float, ...] = (),
 ) -> QuadResult:
-    """Integrate ``integrand`` from ``lower`` to ``upper``.
+    """Integrate ``integrand`` over [0, inf).
 
     ``integrand`` is called once per span and once per split, each time on
     the nodes of several panels in one 1-D array.  It must map that array
@@ -130,33 +128,19 @@ def integrate_semi_infinite(
     spanning 100+ dB.  ``breakpoints`` lists interior abscissae that become
     initial panel boundaries.
 
-    ``upper`` of None means "integrate to the exponential cut-off": the
-    integrand must then be bounded by ``exp(-x / lambda_scale) /
+    The integrand must be bounded by ``exp(-x / lambda_scale) /
     lambda_scale``, so the mass past the cut-off ``u_hi`` of the substituted
     variable is at most ``exp(-u_hi)``.  The cut-off starts at
     :data:`TAIL_CUTOFF` and moves out until that bound is at most half the
     tolerance; the stopping rule and the reported error count it together
-    with the panels' error estimates.  A non-finite ``lambda_scale``,
-    ``lower`` or ``upper`` raises DomainError.
+    with the panels' error estimates.  A non-finite ``lambda_scale`` raises
+    DomainError.
     """
     if not 0 < lambda_scale < math.inf:
         raise DomainError(
             f"lambda_scale must be positive and finite, got {lambda_scale}"
         )
-    lo = lower / lambda_scale
-    hi = TAIL_CUTOFF if upper is None else upper / lambda_scale
-    if not 0 <= lo < math.inf:
-        raise DomainError(
-            f"lower bound must be finite and >= 0, got {lower} "
-            f"({lo} in units of lambda_scale)"
-        )
-    if not math.isfinite(hi):
-        raise DomainError(
-            f"upper bound must be finite, got {upper} ({hi} in units of "
-            "lambda_scale); upper=None integrates to the exponential cut-off"
-        )
-    if hi <= lo:
-        return QuadResult(0.0, 0.0, 0)
+    hi = TAIL_CUTOFF
 
     def g(u):
         return integrand(u * lambda_scale) * lambda_scale
@@ -181,11 +165,11 @@ def integrate_semi_infinite(
             heapq.heappush(heap, (-err, tick, a, b, val, err))
             tick += 1
 
-    add_span(lo, hi)
+    add_span(0.0, hi)
     splits = 0
     while True:
         tol = SOP_REL_TOL * max(abs(total), 1e-300)
-        tail = 0.0 if upper is not None else math.exp(-hi)
+        tail = math.exp(-hi)
         if total_err + tail <= tol:
             break
         if tail > 0.5 * tol:

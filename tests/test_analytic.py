@@ -69,6 +69,17 @@ def _powered_integrand(params, m, mirrored=False):
     return f
 
 
+# An integral over [alpha, inf) or [0, alpha] is the [0, inf) integral of the
+# integrand masked to that range, with alpha passed as a breakpoint so that
+# it is a panel edge and no node falls on the mask's jump.
+def _tail(f, alpha):
+    return lambda x: np.where(x > alpha, f(x), 0.0)
+
+
+def _head(f, alpha):
+    return lambda x: np.where(x < alpha, f(x), 0.0)
+
+
 class TestJPlusTerm:
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 25.0, 40.0])
     @pytest.mark.parametrize("k_spec", [(1, (1, 0, 0)), (2, (0, 1, 1)), (3, (1, 1, 1))])
@@ -100,10 +111,11 @@ class TestIPlusTerm:
     def test_matches_defining_integral(self, gamma0_db):
         params = _params(gamma0_db)
         k = _term(2, (1, 1, 0))
+        alpha = params.branch_point()
         oracle = integrate_semi_infinite(
-            _term_integrand(params, _sigma_mk(k, params)),
+            _tail(_term_integrand(params, _sigma_mk(k, params)), alpha),
             params.lambda_e,
-            lower=params.branch_point(),
+            breakpoints=(alpha,),
         )
         assert i_plus_term(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
@@ -179,7 +191,9 @@ class TestOrderLevelSums:
         params = _params(30.0)
         alpha = (params.mu_d**2 * params.gamma0 - (params.rho - 1)) / params.rho
         oracle = integrate_semi_infinite(
-            _powered_integrand(params, m), params.lambda_e, lower=alpha
+            _tail(_powered_integrand(params, m), alpha),
+            params.lambda_e,
+            breakpoints=(alpha,),
         )
         j_val, val = (s[-1] for s in order_sums(m, params))
         assert val == pytest.approx(oracle.value, rel=1e-8)
@@ -195,10 +209,11 @@ class TestOrderLevelSums:
         # J+(m) - I+(m) is the order-m integral over [0, alpha], the head
         # the closed form assembles.
         params = _params(10.0)
+        alpha = params.branch_point()
         oracle = integrate_semi_infinite(
-            _powered_integrand(params, m),
+            _head(_powered_integrand(params, m), alpha),
             params.lambda_e,
-            upper=params.branch_point(),
+            breakpoints=(alpha,),
         )
         j_val, t_val = (s[-1] for s in order_sums(m, params))
         assert j_val - t_val == pytest.approx(oracle.value, rel=1e-8)
@@ -217,10 +232,11 @@ class TestSopClosedForm:
         # integral of its mirrored branch over [0, alpha]).
         cfg = SystemConfig(n_elements=64, n_users=1, gamma0_db=15.0)
         params = derive_clt_params(cfg)
+        alpha = params.branch_point()
         head = integrate_semi_infinite(
-            _powered_integrand(params, 1, mirrored=True),
+            _head(_powered_integrand(params, 1, mirrored=True), alpha),
             params.lambda_e,
-            upper=params.branch_point(),
+            breakpoints=(alpha,),
         )
         direct = 1.0 - params.xi * (order_sums(1, params)[1][-1] + head.value)
         assert sop_closed_form(cfg).value == pytest.approx(direct, rel=1e-8)

@@ -37,7 +37,13 @@ class TestAsymptoticTerms:
             chi = (np.sqrt(params.rho * x / params.gamma0) - params.mu_d) / sigma_mk
             return 0.5 * np.exp(-0.5 * chi**2) * np.exp(-x / params.lambda_e) / params.lambda_e
 
-        oracle = integrate_semi_infinite(integrand, params.lambda_e, lower=lower)
+        # The integral over [lower, inf), as the [0, inf) integral of the
+        # integrand masked to that range with its edge as a panel boundary.
+        oracle = integrate_semi_infinite(
+            lambda x: np.where(x > lower, integrand(x), 0.0),
+            params.lambda_e,
+            breakpoints=(lower,),
+        )
         assert i_plus_term_asym(k, params) == pytest.approx(oracle.value, rel=1e-8)
 
     def test_agrees_with_finite_snr_term_when_saturated(self):
