@@ -33,8 +33,8 @@ from typing import Callable
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError, ContractError
-from .mcsim import (_MAX_VARIATES, SCHEMES, McEstimate, _estimates, _usable_cpus,
-                    estimate_sop, variates_per_slot)
+from .mcsim import (_MAX_VARIATES, SCHEMES, McEstimate, _estimates, _pass,
+                    _usable_cpus, estimate_sop)
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
@@ -304,10 +304,13 @@ def _work(spec: SweepSpec) -> tuple[int, int, int]:
     passes = per_slot = 0
     if "mc" in spec.evaluators:
         for n, m in product(ns, ms):
-            asked = variates_per_slot(n, m, spec.schemes != ("OUS",))
-            if asked or "OUS" in spec.schemes:
-                passes += repeats
-                per_slot += repeats * (asked or variates_per_slot(n, m, False))
+            try:
+                per_slot += repeats * _pass(spec.schemes, n, m)[2]
+            except ContractError:
+                if "OUS" not in spec.schemes:
+                    continue
+                per_slot += repeats * _pass(("OUS",), n, m)[2]
+            passes += repeats
     return points, passes * spec.mc_trials, per_slot
 
 

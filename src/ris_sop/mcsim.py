@@ -247,15 +247,6 @@ def _pass(schemes, n: int, m: int):
     return _noma_chunk, ("NOMA_BU", "NOMA_WU", "OUS"), 2 * n * m + n + 1
 
 
-def variates_per_slot(n_elements: int, n_users: int, paired: bool) -> int:
-    """Variates one physical-mode slot draws in the pass for the NOMA schemes
-    (``paired``) or OUS alone; 0 where no such pass runs (see :func:`_pass`)."""
-    try:
-        return _pass(SCHEMES if paired else ("OUS",), n_elements, n_users)[2]
-    except ContractError:
-        return 0
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -28,7 +28,6 @@ from ris_sop.mcsim import (
     estimate_schemes_paired,
     estimate_sop,
     sample_gamma_e,
-    variates_per_slot,
 )
 from ris_sop.quadrature import sop_quad_exact_q
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
@@ -248,6 +247,7 @@ class TestPassTable:
         if paired and n_users == 1:
             # No NOMA pair: every route to the pass refuses before any draw.
             calls = [
+                lambda: mcsim._pass(schemes, 8, n_users),
                 lambda: mcsim._estimates(cfg, schemes, trials, seed, mode),
                 lambda: estimate_schemes_paired(cfg, trials, seed, mode),
                 lambda: estimate_noma_pair(cfg, trials, seed, mode),
@@ -258,12 +258,11 @@ class TestPassTable:
                 with pytest.raises(ContractError, match="needs n_users >= 2, got 1"):
                     call()
             assert drawn == []
-            assert variates_per_slot(8, 1, True) == 0
             return
         got = mcsim._estimates(cfg, schemes, trials, seed, mode)
         assert tuple(got) == (("NOMA_BU", "NOMA_WU", "OUS") if paired else ("OUS",))
         if mode == "physical":
-            assert sum(drawn) == variates_per_slot(8, n_users, paired) * trials
+            assert sum(drawn) == mcsim._pass(schemes, 8, n_users)[2] * trials
         # estimate_sop runs its one scheme's pass: this one for a NOMA scheme,
         # and for OUS only where OUS alone was asked for.
         for scheme in schemes:
@@ -280,7 +279,7 @@ class TestVariateCap:
 
     def test_a_run_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(mcsim, "_rng", _no_draws)
-        per_slot = variates_per_slot(64, 3, False)
+        per_slot = mcsim._pass(("OUS",), 64, 3)[2]
         assert per_slot == 257
         trials = mcsim._MAX_VARIATES // per_slot + 1
         with pytest.raises(DomainError) as info:
