@@ -32,15 +32,21 @@ def _stdout(points_per_s, setup_s, correct=True, failed=0, timing=None):
     ]) + "\n"
 
 
+def _result(stdout):
+    return bench_ab.outcome(0, stdout, "")[1]["result"]
+
+
 def test_parse_output_takes_the_machine_block_and_the_last_result_line():
-    machine, result = bench_ab.parse_output(_stdout(250.0, 0.4))
+    machine, fields = bench_ab.outcome(0, _stdout(250.0, 0.4), "")
+    result = fields["result"]
     assert machine == {"nproc": 2, "git_sha": "unknown"}
     assert result["correct"] is True
     assert result["metrics"]["points_per_s"]["value"] == 250.0
 
 
 def test_output_without_a_result_is_an_incorrect_run():
-    machine, result = bench_ab.parse_output("Traceback (most recent call last):\n")
+    machine, fields = bench_ab.outcome(0, "Traceback (most recent call last):\n", "")
+    result = fields["result"]
     assert machine is None
     assert result == {"correct": False, "failed": None, "metrics": {}}
 
@@ -77,10 +83,10 @@ def test_summary_spreads_and_wins():
     runs = []
     for seed, sides in canned.items():
         for side, (pps, setup) in zip(("parent", "change"), sides):
-            _, result = bench_ab.parse_output(_stdout(pps, setup, failed=seed == 3))
+            result = _result(_stdout(pps, setup, failed=seed == 3))
             runs.append({"workload": "w", "seed": seed, "side": side, "result": result})
     runs.append({"workload": "v", "seed": 1, "side": "parent",
-                 "result": bench_ab.parse_output("")[1]})
+                 "result": _result("")})
     summary = bench_ab.summarize(runs, END_TO_END)
     w = summary["w"]
     assert w["points_per_s"]["parent"] == {
@@ -103,7 +109,7 @@ def _pairs(workload, parent, change):
     runs = []
     for seed, sides in enumerate(zip(zip(*parent), zip(*change))):
         for side, (pps, setup) in zip(("parent", "change"), sides):
-            _, result = bench_ab.parse_output(_stdout(pps, setup))
+            result = _result(_stdout(pps, setup))
             runs.append({"workload": workload, "seed": seed, "side": side,
                          "result": result})
     return runs

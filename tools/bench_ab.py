@@ -50,7 +50,15 @@ def run_order(pairs: int) -> list[tuple[str, str]]:
     return [SIDES if i % 2 == 0 else SIDES[::-1] for i in range(pairs)]
 
 
-def _summary_and_result(stdout: str) -> tuple[dict, dict]:
+def outcome(exit_code: int, stdout: str, stderr: str) -> tuple[dict | None, dict]:
+    """(machine block, ``runs`` entry fields) of one finished ``bench/run.py``.
+
+    The fields hold the run's exit code, its result and the last line it
+    wrote to standard error besides, so a crashed run names its cause, and
+    its :func:`timing` when it printed the times.  The result is the last
+    standard-output line, a JSON object with ``correct``, ``failed`` and
+    ``metrics``; output without one is recorded as an incorrect run.
+    """
     summary, result = {}, {"correct": False, "failed": None, "metrics": {}}
     for line in stdout.splitlines():
         if not line.startswith("{"):
@@ -60,27 +68,6 @@ def _summary_and_result(stdout: str) -> tuple[dict, dict]:
             summary = obj
         elif "metrics" in obj:
             result = obj
-    return summary, result
-
-
-def parse_output(stdout: str) -> tuple[dict | None, dict]:
-    """(machine block, result) from one ``bench/run.py`` standard output.
-
-    The result is the last line, a JSON object with ``correct``, ``failed``
-    and ``metrics``; output without one is recorded as an incorrect run.
-    """
-    summary, result = _summary_and_result(stdout)
-    return summary.get("machine"), result
-
-
-def outcome(exit_code: int, stdout: str, stderr: str) -> tuple[dict | None, dict]:
-    """(machine block, ``runs`` entry fields) of one finished ``bench/run.py``.
-
-    The fields hold the run's exit code and the last line it wrote to
-    standard error besides its result, so a crashed run names its cause,
-    and its :func:`timing` when it printed the times.
-    """
-    summary, result = _summary_and_result(stdout)
     lines = stderr.rstrip().splitlines()
     tail = lines[-1] if lines else None
     fields = {"exit_code": exit_code, "stderr_tail": tail, "result": result}
