@@ -204,7 +204,7 @@ def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
     # SOP = int (1 - xi Q(z(x)))^M exppdf(x) dx with the scheduled user's
     # outage threshold rho * x + offset; z changes sign at the branch point.
     sigma = p.sigma_d
-    xi_c = p.xi_complement()
+    xi, xi_c = p.xi, p.xi_complement()
 
     def integrand(x):
         y = p.rho * x + p.offset
@@ -214,7 +214,7 @@ def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
         # cancelling to ~7 digits.  Q(-z) = 1 - Q(z) holds for q_exact, and
         # for q_approx3 at every z but 0.  z = 0 only at the branch point,
         # a panel edge, where no Gauss-Kronrod node falls.
-        cdf = (xi_c + p.xi * q(-z)) ** m_users
+        cdf = (xi_c + xi * q(-z)) ** m_users
         return cdf * (np.exp(-x / p.lambda_e) / p.lambda_e)
 
     # At large N the CDF's climb over -8 < z < 8 is a few percent of alpha

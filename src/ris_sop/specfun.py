@@ -12,7 +12,7 @@ compositions of one expansion order that the term sums run over.
 
 ``scipy.special`` supplies ``erfc`` and ``erfcx``.  It is imported at the
 first evaluation that needs one, through one cached accessor, so importing
-the package, parsing a config and ``ris-sop validate`` never load scipy.
+the package, parsing a config, ``validate`` and Monte Carlo load no scipy.
 """
 
 from __future__ import annotations

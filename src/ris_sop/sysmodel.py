@@ -81,17 +81,16 @@ class CltParams:
     """Linear-domain statistics of the destination and eavesdropper SNRs.
 
     ``mu_d`` and ``sigma2_d`` are the mean and variance of the aggregated
-    destination channel amplitude under the Gaussian (large-N) model,
-    ``xi`` the normalization constant that makes the implied truncated
-    amplitude distribution integrate to one, and ``lambda_e`` the mean of the
-    exponentially distributed eavesdropper SNR.  ``offset`` is the additive
-    term of the outage threshold ``rho * x + offset``: rho - 1 at finite SNR,
-    0 on the high-SNR routes, which is how the paper obtains them.
+    destination channel amplitude under the Gaussian (large-N) model, and
+    ``lambda_e`` the mean of the exponentially distributed eavesdropper SNR.
+    ``offset`` is the additive term of the outage threshold ``rho * x +
+    offset``: rho - 1 at finite SNR, 0 on the high-SNR routes, which is how
+    the paper obtains them.  ``xi`` is derived from ``mu_d`` and
+    ``sigma2_d`` where it is read.
     """
 
     mu_d: float
     sigma2_d: float
-    xi: float
     lambda_e: float
     gamma0: float
     rho: float
@@ -103,6 +102,13 @@ class CltParams:
     @property
     def sigma_d(self) -> float:
         return math.sqrt(self.sigma2_d)
+
+    @property
+    def xi(self) -> float:
+        """1 / Q(-mu_d / sigma_d), which makes the truncated amplitude
+        distribution integrate to one, without forming 1 - Q(mu_d / sigma_d).
+        Only the analytic routes read it, so Monte Carlo never loads scipy."""
+        return math.exp(-log_q(-(self.mu_d / math.sqrt(self.sigma2_d))))
 
     def branch_point(self) -> float:
         """alpha = (mu_d^2 gamma0 - offset) / rho.
@@ -154,10 +160,9 @@ def derive_clt_params(cfg: SystemConfig) -> CltParams:
     """Derive every distribution parameter the evaluators need.
 
     The amplitude mean scales like N and the variance like N, so the ratio
-    mu_d / sigma_d grows like sqrt(N) and ``xi`` converges to 1 quickly.
-    ``xi`` is computed through the log-domain tail routine to avoid the
-    1/(1 - tiny) cancellation at large N.  A value that overflows or
-    underflows to 0 raises DomainError naming its field or statistic.
+    mu_d / sigma_d grows like sqrt(N) and ``xi`` converges to 1 quickly.  A
+    value that overflows or underflows to 0 raises DomainError naming its
+    field or statistic.
     """
     zeta_sr = path_loss_linear(cfg.d_sr, cfg.z0, cfg.upsilon)
     zeta_rd = path_loss_linear(cfg.d_rd, cfg.z0, cfg.upsilon)
@@ -178,13 +183,10 @@ def derive_clt_params(cfg: SystemConfig) -> CltParams:
     }.items():  # a finite config can still give a value past the float64 range
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name}: linear value {value} leaves the float64 range")
-    z = mu_d / math.sqrt(sigma2_d)
-    xi = math.exp(-log_q(-z))  # 1 / Q(-z) without forming 1 - Q(z)
     rho = rho_of(cfg.r_th)
     return CltParams(
         mu_d=mu_d,
         sigma2_d=sigma2_d,
-        xi=xi,
         lambda_e=lambda_e,
         gamma0=gamma0,
         rho=rho,

@@ -61,7 +61,6 @@ class TestAsymptoticTerms:
             params = CltParams(
                 mu_d=base.mu_d,
                 sigma2_d=base.sigma2_d,
-                xi=base.xi,
                 lambda_e=5.0,
                 gamma0=g0,
                 rho=base.rho,

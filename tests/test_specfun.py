@@ -255,8 +255,8 @@ def _fresh_python(script: str, *args: str) -> list:
 
 
 #: Start-up commands, then four threads behind a barrier making their first
-#: tail evaluations at once (thread 0's is ``derive_clt_params(SystemConfig())``),
-#: then the same evaluations one after another.
+#: tail evaluations at once (each reads one config's ``xi`` first; thread 0's
+#: is ``SystemConfig()``), then the same evaluations one after another.
 _GUARD = """
 import contextlib, dataclasses, io, json, sys, threading
 import numpy as np
@@ -281,7 +281,7 @@ configs = [SystemConfig()] + [
 def bits(i):
     p = derive_clt_params(configs[i])
     q = q_exact(np.linspace(-40.0, 40.0, 81) / (i + 1))
-    return [float.hex(float(v)) for v in (*dataclasses.astuple(p), *q)]
+    return [float.hex(float(v)) for v in (*dataclasses.astuple(p), p.xi, *q)]
 
 barrier = threading.Barrier(4)
 threaded = [None] * 4
@@ -304,6 +304,43 @@ seen["threaded_is_serial"] = threaded == [bits(i) for i in range(4)]
 print(json.dumps(seen))
 """
 
+#: Every Monte Carlo entry point, each mode, then one closed form.  The
+#: kernels read no Gaussian tail (``xi`` is derived where it is read), so
+#: only the closed form loads scipy.
+_MC_GUARD = """
+import json, sys
+from ris_sop import cli, estimate_schemes_paired, estimate_sop, sop_closed_form
+from ris_sop.mcsim import MODES, SCHEMES, sample_gamma_e
+from ris_sop.sysmodel import SystemConfig
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen, rows = {}, []
+for name, schemes, workers in (("OUS", ["OUS"], 1), ("paired", list(SCHEMES), 2)):
+    spec = cli.parse_config(json.dumps({
+        "evaluators": ["mc"], "schemes": schemes, "mc_trials": 1000,
+        "sweep": {"n_users": [1, 2]}}))
+    table = cli.run_sweep(spec, workers=workers)
+    rows.append(sum(row.sop_mc is not None for row in table))
+    seen["sweep " + name] = scipy_modules()
+cfg = SystemConfig(n_elements=8, n_users=2)
+for mode in MODES:
+    for scheme in SCHEMES:
+        estimate_sop(cfg, scheme, 1000, 1, mode)
+seen["estimate_sop"] = scipy_modules()
+for mode in MODES:
+    estimate_schemes_paired(cfg, 1000, 1, mode)
+seen["estimate_schemes_paired"] = scipy_modules()
+for mode in MODES:
+    sample_gamma_e(cfg, 1000, 1, mode)
+seen["sample_gamma_e"] = scipy_modules()
+seen["rows with an estimate"] = rows
+sop_closed_form(cfg)
+seen["closed form"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+
 
 class TestScipyAtFirstTailEvaluation:
     def test_start_up_loads_no_scipy_and_first_use_is_threadsafe(self, tmp_path):
@@ -313,3 +350,11 @@ class TestScipyAtFirstTailEvaluation:
         seen = _fresh_python(_GUARD, str(good), str(bad))
         assert seen == {"before": [], "after": True, "sizes": [10 + 81] * 4,
                         "threaded_is_serial": True}
+
+    def test_monte_carlo_loads_no_scipy(self):
+        seen = _fresh_python(_MC_GUARD)
+        assert seen == {
+            "sweep OUS": [], "sweep paired": [], "estimate_sop": [],
+            "estimate_schemes_paired": [], "sample_gamma_e": [],
+            "rows with an estimate": [2, 4], "closed form": True,
+        }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -121,6 +122,18 @@ class TestDeriveCltParams:
         assert all(x > 0.5 and x <= max(xis) for x in xis)
         for n, xi in zip((16, 32, 64, 128), xis[2:]):
             assert abs(xi - 1.0) < 1e-6, f"xi at N={n}"
+
+    @pytest.mark.parametrize("n, bits", [
+        (1, "0x1.1d284152a3e16p+0"), (2, "0x1.09a9cdcf44dd4p+0"),
+        (4, "0x1.016fb7a017d2ap+0"), (8, "0x1.000ae3117dd65p+0"),
+        (16, "0x1.0000033ea1762p+0"), (32, "0x1.000000000063dp+0"),
+    ])
+    def test_xi_bits(self, n, bits):
+        # Pinned from xi when it was derived with the other statistics; it
+        # does not depend on the outage threshold's offset.
+        p = derive_clt_params(SystemConfig(n_elements=n))
+        assert p.xi.hex() == bits
+        assert replace(p, offset=0.0).xi == p.xi
 
     @pytest.mark.parametrize("n", [1, 4, 16, 64, 256, 4096])
     def test_xi_complement_keeps_relative_accuracy(self, n):
