@@ -273,22 +273,31 @@ def _analytic(column: str, evaluate, attr: str) -> Route:
                  lambda result, seed: {column: _floor(value(result))}, value)
 
 
+def _mc_pass(schemes, n: int, m: int) -> tuple[tuple[str, ...], Exception | None]:
+    """The schemes a point at N = ``n``, M = ``m`` runs one Monte Carlo pass
+    for, and the refusal every other row records: the pass ``mcsim`` chooses
+    for ``schemes``, or, without a NOMA pair (M = 1), OUS alone when asked."""
+    try:
+        _pass(schemes, n, m)
+    except ContractError as exc:
+        return ("OUS",) if "OUS" in schemes else (), exc
+    return schemes, None
+
+
 def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dict:
-    """One Monte Carlo pass per point, its chunks on ``executor``: the OUS
-    estimator for OUS alone, else the pass ``mcsim`` chooses, which counts
-    OUS on the NOMA draws (so NOMA_BU >= OUS exactly).  Without a pair (M = 1)
-    the NOMA rows record that pass's refusal and OUS runs alone."""
-    results = {}
-    if spec.schemes != ("OUS",):
-        try:
-            return _estimates(cfg, spec.schemes, spec.mc_trials, seed, executor=executor)
-        except ContractError as exc:
-            results = dict.fromkeys(spec.schemes, exc)
-        except Exception as exc:  # noqa: BLE001 - recorded per row
-            return dict.fromkeys(spec.schemes, exc)
-    if "OUS" in spec.schemes:
+    """The point's one Monte Carlo pass (see :func:`_mc_pass`), its chunks on
+    ``executor``: the OUS estimator for OUS alone, else the pass ``mcsim``
+    chooses, which counts OUS on the NOMA draws (so NOMA_BU >= OUS exactly)."""
+    run, refusal = _mc_pass(spec.schemes, cfg.n_elements, cfg.n_users)
+    results = dict.fromkeys(spec.schemes, refusal)
+    if run == ("OUS",):
         results["OUS"] = _caught(
             estimate_sop, cfg, "OUS", spec.mc_trials, seed, executor=executor)
+    elif run:
+        try:
+            return _estimates(cfg, run, spec.mc_trials, seed, executor=executor)
+        except Exception as exc:  # noqa: BLE001 - recorded per row
+            return dict.fromkeys(spec.schemes, exc)
     return results
 
 
@@ -304,13 +313,10 @@ def _work(spec: SweepSpec) -> tuple[int, int, int]:
     passes = per_slot = 0
     if "mc" in spec.evaluators:
         for n, m in product(ns, ms):
-            try:
-                per_slot += repeats * _pass(spec.schemes, n, m)[2]
-            except ContractError:
-                if "OUS" not in spec.schemes:
-                    continue
-                per_slot += repeats * _pass(("OUS",), n, m)[2]
-            passes += repeats
+            run, _ = _mc_pass(spec.schemes, n, m)
+            if run:
+                per_slot += repeats * _pass(run, n, m)[2]
+                passes += repeats
     return points, passes * spec.mc_trials, per_slot
 
 
