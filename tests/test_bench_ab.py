@@ -186,3 +186,33 @@ def test_runs_keep_their_timing_and_the_summary_adds_set_up_plus_first_pass():
         "change": {"median": 1.625, "q1": 1.125, "q3": 2.125, "runs": 3},
         "change_wins": "0 of 3",
     }
+
+
+def test_workloads_default_to_all_the_change_declares(tmp_path, monkeypatch):
+    declared = {"run_seconds": 3, "end_to_end": END_TO_END,
+                "workloads": [{"name": "b"}, {"name": "a"}]}
+    ran = []
+
+    def export(sha):
+        tree = tmp_path / sha
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(declared))
+        return tree
+
+    def run(tree, workload, seed, seconds):
+        ran.append((tree.name, workload, seed, seconds))
+        return bench_ab.outcome(0, _stdout(1.0, 0.4), "")
+
+    monkeypatch.setattr(bench_ab, "_sha", lambda rev: rev)
+    monkeypatch.setattr(bench_ab, "_export", export)
+    monkeypatch.setattr(bench_ab, "_run", run)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "p", "--change", "c", "--seeds", "5", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    assert ran == [("p", "b", 5, 3), ("c", "b", 5, 3), ("p", "a", 5, 3), ("c", "a", 5, 3)]
+    doc = json.loads(out.read_text())
+    assert doc["pairs"] == {"b": "seeds 5-5", "a": "seeds 5-5"}
+    assert list(doc["summary"]) == ["b", "a"]
+    ran.clear()
+    assert bench_ab.main([*argv, "--workloads", "a"]) == 0
+    assert [workload for _, workload, _, _ in ran] == ["a", "a"]

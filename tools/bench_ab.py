@@ -6,16 +6,18 @@
 Each revision is exported with ``git archive`` into ``.bench_build/<sha>``
 (an export, not a worktree, so nothing is registered in the repository) and
 runs its own ``bench/run.py --trace 0`` for the ``run_seconds`` that the
-change's ``BENCHMARK.json`` declares.  Each workload runs one pair per seed
-of ``--seeds``, that seed on both sides; the side that runs first
-alternates, the parent first in each workload's first pair.  The file holds
-every run's result line and, per workload and end-to-end metric, each side's
-median and quartiles, the number of pairs the change won (ties count for
-neither side) and a verdict (see :func:`verdict`).  Each run keeps its exit
-code, the last line of its standard error and its wall times (see
-:func:`timing`) beside its result line.  Per workload the summary also
-gives the set-up plus the first timed pass (see :func:`cold_start`), where a
-one-time cost that moved out of ``setup_s`` shows.
+change's ``BENCHMARK.json`` declares.  Without ``--workloads``, every
+workload that file declares runs, in its order.  Each workload runs one
+pair per seed of ``--seeds``, that seed on both sides; the side that runs
+first alternates, the parent first in each workload's first pair.  The
+file holds every run's result line and, per workload and end-to-end metric,
+each side's median and quartiles, the number of pairs the change won (ties
+count for neither side) and a verdict (see :func:`verdict`).  Each run
+keeps its exit code, the last line of its standard error and its wall
+times (see :func:`timing`) beside its result line.  Per workload the
+summary also gives the set-up plus the first timed pass (see
+:func:`cold_start`), where a one-time cost that moved out of ``setup_s``
+shows.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", required=True, help="revision measured as the change")
-    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="+",
+                        help="workloads to run (default: all the change declares)")
     parser.add_argument("--seeds", required=True, help="seed range a-b, one pair per seed")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--what", help="what the runs measure, for the file's 'what'",
@@ -235,8 +238,9 @@ def main(argv=None) -> int:
     try:
         declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         seconds = declared["run_seconds"]
+        workloads = args.workloads or [w["name"] for w in declared["workloads"]]
         runs, machine = [], None
-        for workload in args.workloads:
+        for workload in workloads:
             for seed, sides in zip(seeds, run_order(len(seeds))):
                 for side in sides:
                     seen, fields = _run(trees[side], workload, seed, seconds)
@@ -256,7 +260,7 @@ def main(argv=None) -> int:
         "command": shlex.join(["python3", "tools/bench_ab.py", *argv]),
         "parent": shas["parent"],
         "change": shas["change"],
-        "pairs": {w: f"seeds {seeds[0]}-{seeds[-1]}" for w in args.workloads},
+        "pairs": {w: f"seeds {seeds[0]}-{seeds[-1]}" for w in workloads},
         "order": "alternating within each workload's pairs, parent first in the first "
                  f"pair; each run is bench/run.py --trace 0 for {seconds} s",
         # bench/run.py cannot read a SHA in an export; both are recorded above.
