@@ -19,8 +19,8 @@ for bit those of a scalar loop over :func:`ris_sop.specfun.multinomial_set`,
 errors included, for the parameters ``derive_clt_params`` builds.  (With a
 hand-built negative ``sigma2_d`` or ``lambda_e``, ``np.sqrt`` gives NaN and
 the pass raises ``DomainError`` where the loop raised ``ValueError`` or
-returned a value.)  The routes report a zero divisor in the term arithmetic,
-which the loop raised as ``ZeroDivisionError``, as ``EvaluationError``.
+returned a value.)  :func:`order_sums` reports a zero divisor, which the loop
+raised as ``ZeroDivisionError``, as ``EvaluationError`` for both routes.
 
 The terms and order sums read the outage threshold's offset from
 ``CltParams.offset``, ``rho - 1`` as derived.  At offset 0 they are the
@@ -181,7 +181,9 @@ def order_sums(m_users: int, params: CltParams) -> tuple[list[float], list[float
     alpha > 0, else J+(m).  The terms are evaluated once per distinct
     sum_i k_i p_i of the compositions and spread to them; each order's sum
     then runs left to right from 0.0 in composition order, as a float loop
-    adds (``np.sum`` would pair terms and move last bits).
+    adds (``np.sum`` would pair terms and move last bits).  A failure raises
+    what that loop raises, but a zero divisor, which the loop raised as
+    ZeroDivisionError, is ``EvaluationError("order sums: ...")``.
     """
     check_order(m_users)
     tail = params.branch_point() > 0
@@ -193,12 +195,15 @@ def order_sums(m_users: int, params: CltParams) -> tuple[list[float], list[float
     except (ArithmeticError, ValueError):  # DomainError and ZeroDivisionError too
         # Raise what a loop over the compositions raises: the first one to
         # fail, its J+ before its I+.
-        for m in range(1, m_users + 1):
-            for k in multinomial_set(m):
-                _one_term(k, params, tail=False)
-                if tail:
-                    _one_term(k, params, tail=True)
-        raise
+        try:
+            for m in range(1, m_users + 1):
+                for k in multinomial_set(m):
+                    _one_term(k, params, tail=False)
+                    if tail:
+                        _one_term(k, params, tail=True)
+            raise
+        except ZeroDivisionError as exc:
+            raise EvaluationError(f"order sums: {exc}") from exc
     # Finite terms times weight 0.0 give +-0.0, which leaves a sum that
     # starts from +0.0 as it is.
     weighted = terms.take(layout.gather, axis=1)  # a fancy index costs 3-5x more
@@ -218,12 +223,9 @@ def sop_closed_form(cfg: SystemConfig) -> SopResult:
     """
     params = derive_clt_params(cfg)
     m_users = cfg.n_users
-    xi, xi_c = params.xi, params.xi_complement()
+    xi, xi_c = params.truncation()
     orders = range(1, m_users + 1)
-    try:
-        js, ts = order_sums(m_users, params)
-    except ZeroDivisionError as exc:
-        raise EvaluationError(f"order sums: {exc}") from exc
+    js, ts = order_sums(m_users, params)
     tail_mass = max(params.branch_point(), 0.0) / params.lambda_e
     head = xi_c**m_users * -math.expm1(-tail_mass) + sum(
         math.comb(m_users, m) * xi_c ** (m_users - m) * xi**m * (j - t)

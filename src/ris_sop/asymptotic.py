@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .analytic import i_plus_term, j_plus_term, order_sums
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .specfun import Q_APPROX, MultinomialTerm, multinomial_set, signed_binom
 from .specfun import exp_times_q  # noqa: F401 - bench/tracing.py wraps this name
 from .sysmodel import CltParams, SystemConfig, derive_clt_params, rho_of
@@ -98,10 +98,7 @@ def sop_asymptotic(cfg: SystemConfig) -> AsymptoticBreakdown:
     p1 = -math.expm1(-c)
     # J+(m) below M is unused, but it rides in T's array pass: a separate
     # pass for J+(M) alone costs more than these elements.
-    try:
-        js, ts = order_sums(m_users, params)
-    except ZeroDivisionError as exc:
-        raise EvaluationError(f"order sums: {exc}") from exc
+    js, ts = order_sums(m_users, params)
     p3 = sum(signed_binom(m_users, m) * t for m, t in enumerate(ts, 1))
     p2 = ts[-1] - js[-1]
     # Rounding can leave an underflowed level a few subnormals below 0.

@@ -180,7 +180,7 @@ def integrate_semi_infinite(
             add_span(hi, new_hi)
             hi = new_hi
             continue
-        if splits >= SOP_MAX_SUBDIVISIONS or not heap:
+        if splits >= SOP_MAX_SUBDIVISIONS:
             raise AccuracyError(
                 f"quadrature stalled at error {total_err + tail:.3e} "
                 f"for value {total:.6e}",
@@ -204,7 +204,7 @@ def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
     # SOP = int (1 - xi Q(z(x)))^M exppdf(x) dx with the scheduled user's
     # outage threshold rho * x + offset; z changes sign at the branch point.
     sigma = p.sigma_d
-    xi, xi_c = p.xi, p.xi_complement()
+    xi, xi_c = p.truncation()
 
     def integrand(x):
         y = p.rho * x + p.offset

@@ -85,8 +85,8 @@ class CltParams:
     ``lambda_e`` the mean of the exponentially distributed eavesdropper SNR.
     ``offset`` is the additive term of the outage threshold ``rho * x +
     offset``: rho - 1 at finite SNR, 0 on the high-SNR routes, which is how
-    the paper obtains them.  ``xi`` is derived from ``mu_d`` and
-    ``sigma2_d`` where it is read.
+    the paper obtains them.  ``xi`` and ``1 - xi`` are derived from
+    ``mu_d`` and ``sigma2_d`` where they are read, by :meth:`truncation`.
     """
 
     mu_d: float
@@ -103,13 +103,6 @@ class CltParams:
     def sigma_d(self) -> float:
         return math.sqrt(self.sigma2_d)
 
-    @property
-    def xi(self) -> float:
-        """1 / Q(-mu_d / sigma_d), which makes the truncated amplitude
-        distribution integrate to one, without forming 1 - Q(mu_d / sigma_d).
-        Only the analytic routes read it, so Monte Carlo never loads scipy."""
-        return math.exp(-log_q(-(self.mu_d / math.sqrt(self.sigma2_d))))
-
     def branch_point(self) -> float:
         """alpha = (mu_d^2 gamma0 - offset) / rho.
 
@@ -118,14 +111,18 @@ class CltParams:
         """
         return (self.mu_d**2 * self.gamma0 - self.offset) / self.rho
 
-    def xi_complement(self) -> float:
-        """1 - xi, without the cancellation of forming it from ``xi``.
+    def truncation(self) -> tuple[float, float]:
+        """(xi, 1 - xi) from one evaluation of log Q(-mu_d / sigma_d).
 
-        ``xi = 1 / Q(-mu_d / sigma_d)``, so ``1 - xi = -expm1(-log Q(-mu_d /
-        sigma_d))`` from the same ``log_q`` value that gives ``xi``.  It is
-        -Q(mu_d / sigma_d) / Q(-mu_d / sigma_d): negative, and tiny at large N.
+        ``xi = 1 / Q(-mu_d / sigma_d)`` makes the truncated amplitude
+        distribution integrate to one, without forming 1 - Q(mu_d / sigma_d).
+        ``1 - xi = -expm1(-log Q(-mu_d / sigma_d))`` avoids the cancellation of
+        forming it from ``xi``: it is -Q(mu_d / sigma_d) / Q(-mu_d / sigma_d),
+        negative and tiny at large N.  Only the analytic routes read these,
+        so Monte Carlo never loads scipy.
         """
-        return -math.expm1(-log_q(-self.mu_d / self.sigma_d))
+        log_tail = log_q(-self.mu_d / self.sigma_d)
+        return math.exp(-log_tail), -math.expm1(-log_tail)
 
 
 def path_loss_linear(d: float, z0: float, upsilon: float) -> float:

@@ -238,7 +238,8 @@ class TestSopClosedForm:
             params.lambda_e,
             breakpoints=(alpha,),
         )
-        direct = 1.0 - params.xi * (order_sums(1, params)[1][-1] + head.value)
+        xi = params.truncation()[0]
+        direct = 1.0 - xi * (order_sums(1, params)[1][-1] + head.value)
         assert sop_closed_form(cfg).value == pytest.approx(direct, rel=1e-8)
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0, 30.0, 40.0])

@@ -255,8 +255,9 @@ def _fresh_python(script: str, *args: str) -> list:
 
 
 #: Start-up commands, then four threads behind a barrier making their first
-#: tail evaluations at once (each reads one config's ``xi`` first; thread 0's
-#: is ``SystemConfig()``), then the same evaluations one after another.
+#: tail evaluations at once (each reads one config's ``xi`` and ``1 - xi``
+#: first; thread 0's is ``SystemConfig()``), then the same evaluations one
+#: after another.
 _GUARD = """
 import contextlib, dataclasses, io, json, sys, threading
 import numpy as np
@@ -281,7 +282,7 @@ configs = [SystemConfig()] + [
 def bits(i):
     p = derive_clt_params(configs[i])
     q = q_exact(np.linspace(-40.0, 40.0, 81) / (i + 1))
-    return [float.hex(float(v)) for v in (*dataclasses.astuple(p), p.xi, *q)]
+    return [float.hex(float(v)) for v in (*dataclasses.astuple(p), *p.truncation(), *q)]
 
 barrier = threading.Barrier(4)
 threaded = [None] * 4
@@ -348,7 +349,7 @@ class TestScipyAtFirstTailEvaluation:
         good.write_text('{"evaluators": ["mc"], "schemes": ["OUS", "NOMA_BU"]}')
         bad.write_text('{"base": {"n_users": 0}}')
         seen = _fresh_python(_GUARD, str(good), str(bad))
-        assert seen == {"before": [], "after": True, "sizes": [10 + 81] * 4,
+        assert seen == {"before": [], "after": True, "sizes": [11 + 81] * 4,
                         "threaded_is_serial": True}
 
     def test_monte_carlo_loads_no_scipy(self):

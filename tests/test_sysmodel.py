@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ris_sop import sysmodel
+from ris_sop.analytic import sop_closed_form
+from ris_sop.asymptotic import sop_asymptotic
 from ris_sop.errors import DomainError
+from ris_sop.mcsim import estimate_sop
+from ris_sop.quadrature import sop_quad_approx_q, sop_quad_asymptotic, sop_quad_exact_q
 from ris_sop.sysmodel import (
     SystemConfig,
     derive_clt_params,
@@ -93,7 +98,7 @@ class TestDeriveCltParams:
         assert p.mu_d / p.sigma_d == pytest.approx(
             math.sqrt(64) * math.pi / math.sqrt(16 - math.pi**2), rel=1e-13
         )
-        assert abs(p.xi - 1.0) < 1e-15
+        assert abs(p.truncation()[0] - 1.0) < 1e-15
 
     def test_unit_lambda(self):
         p = derive_clt_params(_unit_gain_config(1, m=1, gamma0_db=0.0))
@@ -116,7 +121,7 @@ class TestDeriveCltParams:
         assert double.mu_d == base.mu_d
 
     def test_xi_monotone_to_one(self):
-        xis = [derive_clt_params(SystemConfig(n_elements=n)).xi for n in
+        xis = [derive_clt_params(SystemConfig(n_elements=n)).truncation()[0] for n in
                (4, 8, 16, 32, 64, 128)]
         assert all(a >= b for a, b in zip(xis, xis[1:]))
         assert all(x > 0.5 and x <= max(xis) for x in xis)
@@ -132,8 +137,8 @@ class TestDeriveCltParams:
         # Pinned from xi when it was derived with the other statistics; it
         # does not depend on the outage threshold's offset.
         p = derive_clt_params(SystemConfig(n_elements=n))
-        assert p.xi.hex() == bits
-        assert replace(p, offset=0.0).xi == p.xi
+        assert p.truncation()[0].hex() == bits
+        assert replace(p, offset=0.0).truncation() == p.truncation()
 
     @pytest.mark.parametrize("n", [1, 4, 16, 64, 256, 4096])
     def test_xi_complement_keeps_relative_accuracy(self, n):
@@ -143,7 +148,23 @@ class TestDeriveCltParams:
         with mpmath.workdps(40):
             z = mpmath.mpf(p.mu_d) / mpmath.sqrt(mpmath.mpf(p.sigma2_d))
             expected = float(-mpmath.ncdf(-z) / mpmath.ncdf(z))
-        assert p.xi_complement() == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert p.truncation()[1] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("route, calls", [
+        (sop_closed_form, 1),
+        (sop_quad_exact_q, 1),
+        (sop_quad_approx_q, 1),
+        (sop_quad_asymptotic, 1),
+        (sop_asymptotic, 0),
+        (lambda cfg: estimate_sop(cfg, "OUS", 1000, 1, "physical"), 0),
+    ])
+    def test_one_tail_evaluation_per_route_call(self, route, calls, monkeypatch):
+        # xi and 1 - xi come from one log Q(-mu_d / sigma_d); the high-SNR
+        # level and Monte Carlo read neither.
+        seen, log_q = [], sysmodel.log_q
+        monkeypatch.setattr(sysmodel, "log_q", lambda x: seen.append(x) or log_q(x))
+        route(SystemConfig(n_elements=8, n_users=3))
+        assert len(seen) == calls
 
     def test_rho_always_above_one(self):
         p = derive_clt_params(SystemConfig(r_th=0.01))

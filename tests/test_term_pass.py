@@ -91,6 +91,14 @@ def _loop_over_orders(outcomes):
     return tuple(j for j, _ in outcomes) + tuple(t for _, t in outcomes)
 
 
+def _verdict(outcome):
+    """The ``_outcome`` of ``order_sums`` where the loop gave ``outcome``: the
+    same, but a zero divisor is reported as EvaluationError."""
+    if outcome[0] is ZeroDivisionError:
+        return EvaluationError, "order sums: " + outcome[1]
+    return outcome
+
+
 def _j_q_argument(k, params):
     """The reference's Q argument of J+ at composition ``k``."""
     mu, g0 = params.mu_d, params.gamma0
@@ -130,7 +138,8 @@ CASES = [
     (SystemConfig(n_elements=256, n_users=1, gamma0_db=0.0, d_re=38.0), False),
     (SystemConfig(r_th=1013.0), False),
     (SystemConfig(d_sr=10**-42.5, d_rd=10**-42.5), False),
-    # A zero divisor raises ZeroDivisionError, as float division does.
+    # A zero divisor: the loop raises ZeroDivisionError, as float division
+    # does, and order_sums reports it as EvaluationError.
     (SystemConfig(gamma0_db=102.9, n_elements=65536, r_th=1.697, d_sr=1.54e38,
                   d_rd=2.56e42, d_re=1.6e17, z0=181.6, upsilon=3.747), False),
     # (0, 0, 1) loses finiteness before a later composition divides by zero.
@@ -193,7 +202,7 @@ def test_order_sums_match_the_scalar_loop(cfg, high_snr):
         per_order = [_outcome(_scalar_order_sums, order, params) for order in orders]
         for m in orders:  # the pass over orders 1..m raises the first order's error
             expected = _loop_over_orders(per_order[:m])
-            assert _outcome(order_sums, m, params) == expected
+            assert _outcome(order_sums, m, params) == _verdict(expected)
 
 
 for _cfg, _high_snr in CASES:  # every case is an @example of the drawn test too
@@ -250,10 +259,20 @@ class TestErrorPath:
     def test_a_zero_divisor_raises_whatever_it_divides(self, changes):
         params = replace(derive_clt_params(SystemConfig()), **changes)
         raised = (ZeroDivisionError, "float division by zero")
+        verdict = (EvaluationError, "order sums: float division by zero")
         assert _outcome(_scalar_order_sums, 1, params) == raised
-        assert _outcome(order_sums, 1, params) == raised
-        assert _outcome(order_sums, 2, params) == raised
+        assert _outcome(order_sums, 1, params) == verdict
+        assert _outcome(order_sums, 2, params) == verdict
         assert _outcome(j_plus_term, multinomial_set(1)[0], params) == raised
+
+    @pytest.mark.parametrize("route", [sop_closed_form, sop_asymptotic])
+    def test_both_routes_give_the_order_sums_verdict(self, route):
+        cfg, high_snr = CASES[8]  # the terms' divisors underflow to 0
+        assert not high_snr
+        with pytest.raises(EvaluationError) as got:
+            route(cfg)
+        assert str(got.value) == "order sums: float division by zero"
+        assert type(got.value.__cause__) is ZeroDivisionError
 
     def test_orders_outside_the_table_are_refused(self):
         params = derive_clt_params(SystemConfig())
