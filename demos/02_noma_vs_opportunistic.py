@@ -8,7 +8,8 @@ The trial count is kept modest so this runs in well under a minute.
 
 import pathlib
 
-from ris_sop import SystemConfig, estimate_schemes_paired
+from ris_sop import SystemConfig, estimate
+from ris_sop.mcsim import SCHEMES
 
 HERE = pathlib.Path(__file__).resolve().parent
 TRIALS = 100_000
@@ -17,7 +18,7 @@ print(f"{'G0 (dB)':>8} {'OUS':>12} {'NOMA-BU':>12} {'NOMA-WU':>12}")
 rows = []
 for g in range(-10, 51, 10):
     cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=float(g))
-    ests = estimate_schemes_paired(cfg, TRIALS, seed=100 + g)
+    ests = estimate(cfg, SCHEMES, TRIALS, seed=100 + g)
     rows.append((g, ests))
     print(
         f"{g:8d} {ests['OUS'].sop_hat:12.4e} "

@@ -11,12 +11,12 @@ Four mutually cross-validating evaluation routes for the same quantity:
 
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic, sop_asymptotic_closed
-from .mcsim import estimate_schemes_paired, estimate_sop
+from .mcsim import estimate, estimate_sop
 from .sysmodel import SystemConfig
 
 __all__ = [
     "SystemConfig",
-    "estimate_schemes_paired",
+    "estimate",
     "estimate_sop",
     "sop_asymptotic",
     "sop_asymptotic_closed",

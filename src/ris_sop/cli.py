@@ -33,8 +33,8 @@ from typing import Callable
 from .analytic import sop_closed_form
 from .asymptotic import sop_asymptotic
 from .errors import PACKAGE_ERRORS, ConfigError, ContractError
-from .mcsim import (_MAX_VARIATES, SCHEMES, McEstimate, _estimates, _pass,
-                    _usable_cpus, estimate_sop)
+from .mcsim import (_MAX_VARIATES, SCHEMES, McEstimate, _pass, _usable_cpus, estimate,
+                    estimate_sop)
 from .mcsim import estimate_noma_pair  # noqa: F401 - bench/tracing.py wraps this name
 from .quadrature import sop_quad_approx_q, sop_quad_exact_q
 from .sysmodel import SystemConfig
@@ -286,18 +286,17 @@ def _mc_pass(schemes, n: int, m: int) -> tuple[tuple[str, ...], Exception | None
 
 def _run_mc(spec: SweepSpec, cfg: SystemConfig, seed: int, executor=None) -> dict:
     """The point's one Monte Carlo pass (see :func:`_mc_pass`), its chunks on
-    ``executor``: the OUS estimator for OUS alone, else the pass ``mcsim``
-    chooses, which counts OUS on the NOMA draws (so NOMA_BU >= OUS exactly)."""
+    ``executor``: ``estimate_sop`` for OUS alone (the benchmark tracer counts
+    its calls), else ``estimate``, whose pass counts OUS on the NOMA draws
+    (so NOMA_BU >= OUS exactly)."""
     run, refusal = _mc_pass(spec.schemes, cfg.n_elements, cfg.n_users)
     results = dict.fromkeys(spec.schemes, refusal)
     if run == ("OUS",):
         results["OUS"] = _caught(
             estimate_sop, cfg, "OUS", spec.mc_trials, seed, executor=executor)
     elif run:
-        try:
-            return _estimates(cfg, run, spec.mc_trials, seed, executor=executor)
-        except Exception as exc:  # noqa: BLE001 - recorded per row
-            return dict.fromkeys(spec.schemes, exc)
+        est = _caught(estimate, cfg, run, spec.mc_trials, seed, executor=executor)
+        return dict.fromkeys(spec.schemes, est) if isinstance(est, Exception) else est
     return results
 
 
@@ -504,10 +503,12 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(emit_csv(table))
     n_errors = sum(1 for row in table if row.error)
+    # gamma0_db, then every other swept axis, names the row's point.
+    where = dict.fromkeys(["gamma0_db", *(name for name, _ in spec.axes)])
     for row in table:
         if row.error:
-            print(f"row error ({row.scheme} @ {row.gamma0_db} dB): {row.error}",
-                  file=sys.stderr)
+            at = ", ".join(f"{name}={getattr(row, name)}" for name in where)
+            print(f"row error ({row.scheme} @ {at}): {row.error}", file=sys.stderr)
     return 0 if n_errors == 0 else 1
 
 

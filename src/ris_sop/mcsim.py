@@ -17,7 +17,7 @@ bounded window of them at a time, and the driver returns their results in
 block order.  The pool is the caller's when it passes one (a sweep shares
 one pool among all its points and threads) and lives for the one call
 otherwise.  One function, :func:`_pass`, picks the kernel for the requested
-schemes, and one reducer, :func:`_estimates`, turns its chunk counts into
+schemes, and one reducer, :func:`estimate`, turns its chunk counts into
 every estimate, so a new estimator inherits the contract unchanged.  One
 draw loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
 source-to-surface and eavesdropper streams piece by piece and hands each
@@ -323,12 +323,28 @@ def _windowed(executor, run, blocks) -> list:
     return results
 
 
-def _estimates(cfg, schemes, trials, seed, mode="physical", *, executor=None) -> dict:
-    """Each scheme the pass serving ``schemes`` counts (see :func:`_pass`),
-    mapped to its Wilson estimate: the one reduction of chunk counts."""
+def estimate(cfg: SystemConfig, schemes, trials: int, seed: int, mode: str = "physical",
+             *, executor: ThreadPoolExecutor | None = None) -> dict[str, McEstimate]:
+    """Each requested scheme, in :data:`SCHEMES` order, mapped to its Wilson
+    estimate from the one pass that serves ``schemes`` (see :func:`_pass`).
+
+    ``schemes`` is a non-empty list or tuple of :data:`SCHEMES` names;
+    anything else raises ``DomainError`` before any draw.  A NOMA scheme runs the paired
+    pass, which scores OUS on the same channel draws: on identical
+    realizations the full-power scheduled user does at least as well as
+    its power-sharing NOMA counterpart, so ``NOMA_BU >= OUS`` holds count
+    for count.  OUS alone runs the OUS pass.  The chunks run on
+    ``executor`` when one is given (see :func:`_per_chunk`).
+    """
+    if not isinstance(schemes, (list, tuple)) or not schemes:
+        raise DomainError(f"schemes must be a non-empty list, got {schemes!r}")
+    for scheme in schemes:  # `in` a tuple: an unhashable name is unknown
+        if scheme not in SCHEMES:
+            raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kernel, counted, per_slot = _pass(schemes, cfg.n_elements, cfg.n_users)
     chunks = _per_chunk(kernel, cfg, trials, seed, mode, per_slot, executor=executor)
-    return {s: _wilson(sum(column), trials) for s, column in zip(counted, zip(*chunks))}
+    columns = dict(zip(counted, zip(*chunks)))
+    return {s: _wilson(sum(columns[s]), trials) for s in SCHEMES if s in schemes}
 
 
 def estimate_sop(
@@ -340,12 +356,10 @@ def estimate_sop(
     *,
     executor: ThreadPoolExecutor | None = None,
 ) -> McEstimate:
-    """Monte Carlo SOP estimate for one scheme at one operating point, from
-    the pass that serves it (see :func:`_pass`).  The chunks run on
-    ``executor`` when one is given (see :func:`_per_chunk`)."""
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return _estimates(cfg, (scheme,), trials, seed, mode, executor=executor)[scheme]
+    """One scheme's :func:`estimate`.  The benchmark tracer's targets keep
+    this view: they wrap it in ``ris_sop.cli``, which calls it for an
+    OUS-only point."""
+    return estimate(cfg, (scheme,), trials, seed, mode, executor=executor)[scheme]
 
 
 def estimate_noma_pair(
@@ -354,28 +368,9 @@ def estimate_noma_pair(
     seed: int,
     mode: str = "physical",
 ) -> tuple[McEstimate, McEstimate]:
-    """Both NOMA users' SOP estimates from one shared simulation pass."""
-    est = _estimates(cfg, ("NOMA_BU", "NOMA_WU"), trials, seed, mode)
-    return est["NOMA_BU"], est["NOMA_WU"]
-
-
-def estimate_schemes_paired(
-    cfg: SystemConfig,
-    trials: int,
-    seed: int,
-    mode: str = "physical",
-    *,
-    executor: ThreadPoolExecutor | None = None,
-) -> dict[str, McEstimate]:
-    """OUS, NOMA-BU and NOMA-WU estimates from the same channel draws.
-
-    Pairing removes the sampling noise from scheme comparisons: on identical
-    realizations the full-power scheduled user can only do at least as well
-    as its power-sharing NOMA counterpart, so ordering checks become exact
-    rather than statistical.  The chunks run on ``executor`` when one is
-    given (see :func:`_per_chunk`).
-    """
-    return _estimates(cfg, SCHEMES, trials, seed, mode, executor=executor)
+    """Both NOMA users' :func:`estimate`s from one pass.  Only the benchmark
+    tracer's targets keep this view: they look it up in ``ris_sop.cli``."""
+    return tuple(estimate(cfg, ("NOMA_BU", "NOMA_WU"), trials, seed, mode).values())
 
 
 def sample_gamma_e(

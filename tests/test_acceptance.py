@@ -23,7 +23,7 @@ from ris_sop.analytic import (
 )
 from ris_sop.asymptotic import sop_asymptotic_closed
 from ris_sop.cli import emit_csv, parse_config, run_sweep
-from ris_sop.mcsim import estimate_schemes_paired, estimate_sop, sample_gamma_e
+from ris_sop.mcsim import SCHEMES, estimate, estimate_sop, sample_gamma_e
 from ris_sop.quadrature import integrate_semi_infinite
 from ris_sop.specfun import Q_APPROX, multinomial_set, q_approx3, q_exact
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
@@ -422,7 +422,7 @@ def test_criterion_7_noma_benchmark_ordering():
     rows = []
     for g in range(-10, 51, 5):
         cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=float(g))
-        ests = estimate_schemes_paired(cfg, TRIALS, seed=SEED + g)
+        ests = estimate(cfg, SCHEMES, TRIALS, seed=SEED + g)
         rows.append((float(g), ests["OUS"], ests["NOMA_BU"], ests["NOMA_WU"]))
     ordering_ok = all(bu.outages >= ous.outages for _, ous, bu, _ in rows)
     wu_ok = all(wu.sop_hat >= 0.9 for _, _, _, wu in rows)

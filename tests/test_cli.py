@@ -23,7 +23,7 @@ from ris_sop.cli import (
     run_sweep,
 )
 from ris_sop.errors import AccuracyError, ConfigError
-from ris_sop.mcsim import SCHEMES, estimate_schemes_paired, estimate_sop
+from ris_sop.mcsim import SCHEMES, estimate, estimate_sop
 from ris_sop.sysmodel import SystemConfig
 
 FAST = json.dumps(
@@ -329,7 +329,7 @@ class TestOnePassPerPoint:
                     assert rows[scheme].sop_mc is None
                     assert "NOMA pairing needs n_users >= 2" in rows[scheme].error
                 continue
-            paired = estimate_schemes_paired(cfg, spec.mc_trials, seed)
+            paired = estimate(cfg, SCHEMES, spec.mc_trials, seed)
             for scheme in schemes:
                 self._assert_row_is(rows[scheme], paired[scheme])
                 assert rows[scheme].error is None
@@ -716,6 +716,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "row error" in err and "gamma0_db" in err
         assert "out of range" not in err
+
+    def test_sweep_row_errors_name_every_swept_axis(self, tmp_path, capsys):
+        # The two points differ only in n_users, so a line naming gamma0_db
+        # alone would print twice.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": {"gamma0_db": 5000},
+                                    "sweep": {"n_users": [1, 3]},
+                                    "evaluators": ["closed"]}))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        error = "closed: gamma0_db: linear value inf leaves the float64 range"
+        assert lines == [f"row error (OUS @ gamma0_db=5000.0, n_users={m}): {error}"
+                         for m in (1, 3)]
 
     def test_oracle_reports_an_overflowing_amplitude_square(self, tmp_path, capsys):
         # Every linear gain is finite here, but mu_d^2 is not.

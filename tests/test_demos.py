@@ -1,16 +1,30 @@
-"""The demos are examples, not tests, but a package name they import can be
-deleted or renamed unnoticed.  Resolve every demo's imports without running
-it, and run the print-only demos, which write no files, end to end."""
+"""The demos and the README are examples, not tests, but a package name they
+import can be deleted or renamed unnoticed.  Resolve every demo's imports
+without running it, run the print-only demos, which write no files, end to
+end, and hold the package root to the names the README says it exports."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import ris_sop
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+
+
+def test_the_package_root_exports_the_six_names_the_readme_lists():
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(r"The package root exports six names: (.*?)\.\n", readme, re.S)
+    listed = re.findall(r"`(\w+)`", sentence.group(1))
+    assert sorted(ris_sop.__all__) == sorted(listed) == [
+        "SystemConfig", "estimate", "estimate_sop", "sop_asymptotic",
+        "sop_asymptotic_closed", "sop_closed_form"]
+    assert all(callable(getattr(ris_sop, name)) for name in ris_sop.__all__)
 
 
 def test_every_package_import_in_the_demos_resolves():

@@ -10,7 +10,7 @@ from ris_sop import quadrature
 from ris_sop.asymptotic import sop_asymptotic_closed
 from ris_sop.cli import ROUTES, SweepSpec
 from ris_sop.errors import PACKAGE_ERRORS, ContractError, DomainError
-from ris_sop.mcsim import SCHEMES, McEstimate, estimate_schemes_paired, estimate_sop
+from ris_sop.mcsim import SCHEMES, McEstimate, estimate, estimate_sop
 from ris_sop.quadrature import (
     SOP_MAX_SUBDIVISIONS,
     integrate_semi_infinite,
@@ -167,7 +167,7 @@ def test_monte_carlo_returns_an_interval_or_a_package_error(cfg):
     """
     spec = _spec(cfg, schemes=SCHEMES, trials=MC_TRIALS)
     physical = ROUTES["mc"].run(spec, cfg, spec.seed)
-    paired = _caught(estimate_schemes_paired, cfg, MC_TRIALS, spec.seed, "independent")
+    paired = _caught(estimate, cfg, SCHEMES, MC_TRIALS, spec.seed, "independent")
     independent = {
         scheme: paired if isinstance(paired, Exception) else paired[scheme]
         for scheme in SCHEMES

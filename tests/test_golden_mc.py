@@ -3,7 +3,7 @@
 The reproducibility contract fixes every draw by (seed, chunk, link tag), so
 an outage count at a given (config, trials, seed, mode) is a constant.  This
 file pins those constants: the OUS ``estimate_sop`` count, the three counts
-of one ``estimate_schemes_paired`` pass, and ``float.hex`` of
+of one ``estimate(cfg, SCHEMES, ...)`` pass, and ``float.hex`` of
 ``sample_gamma_e`` samples from each chunk, in both sampling modes.  40,000
 trials are two full chunks plus a partial one, so the chunking and the
 block-order reduction are both under test.  Every pinned count lies
@@ -14,7 +14,7 @@ moves one slot moves a count here.
 
 import pytest
 
-from ris_sop.mcsim import estimate_schemes_paired, estimate_sop, sample_gamma_e
+from ris_sop.mcsim import SCHEMES, estimate, estimate_sop, sample_gamma_e
 from ris_sop.sysmodel import SystemConfig
 
 TRIALS = 40_000
@@ -66,7 +66,7 @@ def test_ous_count_reproduces(cfg, mode, outages):
 
 @pytest.mark.parametrize("cfg,mode,counts", GOLDEN_PAIRED)
 def test_paired_counts_reproduce(cfg, mode, counts):
-    est = estimate_schemes_paired(cfg, TRIALS, SEED, mode)
+    est = estimate(cfg, SCHEMES, TRIALS, SEED, mode)
     assert {scheme: e.outages for scheme, e in est.items()} == counts
     assert all(e.trials == TRIALS for e in est.values())
 

@@ -24,8 +24,8 @@ from ris_sop.mcsim import (
     SCHEMES,
     _rng,
     _wilson,
+    estimate,
     estimate_noma_pair,
-    estimate_schemes_paired,
     estimate_sop,
     sample_gamma_e,
 )
@@ -188,7 +188,7 @@ class TestNomaEstimates:
     def test_paired_ordering_and_weak_user_exposure(self):
         for g in (0.0, 20.0, 45.0):
             cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=g)
-            ests = estimate_schemes_paired(cfg, 100_000, seed=19)
+            ests = estimate(cfg, SCHEMES, 100_000, seed=19)
             # identical draws: power sharing can only increase outages
             assert ests["NOMA_BU"].outages >= ests["OUS"].outages
             assert ests["NOMA_WU"].outages >= ests["NOMA_BU"].outages
@@ -201,7 +201,7 @@ class TestNomaEstimates:
         # Near r_th = 1023 the thresholds overflow to inf (certain outage);
         # the suite's error::RuntimeWarning filter checks that it stays quiet.
         cfg = SystemConfig(n_users=3, gamma0_db=gamma0_db, r_th=r_th)
-        ests = estimate_schemes_paired(cfg, 2_000, seed=23, mode=mode)
+        ests = estimate(cfg, SCHEMES, 2_000, seed=23, mode=mode)
         assert ests["NOMA_BU"].outages >= ests["OUS"].outages
 
 
@@ -226,7 +226,7 @@ def _count_draws(monkeypatch):
 
 
 def _no_draws(*key):
-    raise AssertionError("drew past the variate cap")
+    raise AssertionError("a refused run drew a variate")
 
 
 #: Every non-empty set of schemes, in canonical order.
@@ -248,8 +248,7 @@ class TestPassTable:
             # No NOMA pair: every route to the pass refuses before any draw.
             calls = [
                 lambda: mcsim._pass(schemes, 8, n_users),
-                lambda: mcsim._estimates(cfg, schemes, trials, seed, mode),
-                lambda: estimate_schemes_paired(cfg, trials, seed, mode),
+                lambda: estimate(cfg, schemes, trials, seed, mode),
                 lambda: estimate_noma_pair(cfg, trials, seed, mode),
                 *(lambda s=s: estimate_sop(cfg, s, trials, seed, mode)
                   for s in schemes if s != "OUS"),
@@ -259,19 +258,40 @@ class TestPassTable:
                     call()
             assert drawn == []
             return
-        got = mcsim._estimates(cfg, schemes, trials, seed, mode)
-        assert tuple(got) == (("NOMA_BU", "NOMA_WU", "OUS") if paired else ("OUS",))
+        got = estimate(cfg, schemes, trials, seed, mode)
+        assert tuple(got) == schemes  # the requested schemes alone, in order
         if mode == "physical":
             assert sum(drawn) == mcsim._pass(schemes, 8, n_users)[2] * trials
+        # A set with a NOMA scheme runs the paired pass: each of its schemes
+        # reads what the pass over all of SCHEMES gives it, OUS included.
+        full = estimate(cfg, SCHEMES, trials, seed, mode) if paired else got
+        assert got == {scheme: full[scheme] for scheme in schemes}
         # estimate_sop runs its one scheme's pass: this one for a NOMA scheme,
         # and for OUS only where OUS alone was asked for.
         for scheme in schemes:
             if scheme != "OUS" or not paired:
                 assert estimate_sop(cfg, scheme, trials, seed, mode) == got[scheme]
         if paired:
-            assert estimate_schemes_paired(cfg, trials, seed, mode) == got
             pair = estimate_noma_pair(cfg, trials, seed, mode)
-            assert pair == (got["NOMA_BU"], got["NOMA_WU"])
+            assert pair == (full["NOMA_BU"], full["NOMA_WU"])
+
+
+class TestSchemesCheck:
+    """``estimate`` serves a non-empty list of ``SCHEMES`` names and nothing else."""
+
+    @pytest.mark.parametrize("schemes, message", [
+        ("OUS", "schemes must be a non-empty list, got 'OUS'"),
+        ((), "schemes must be a non-empty list, got ()"),
+        (("XYZ",), f"unknown scheme 'XYZ'; expected one of {SCHEMES}"),
+        ([1], f"unknown scheme 1; expected one of {SCHEMES}"),
+        (["OUS", "XYZ"], f"unknown scheme 'XYZ'; expected one of {SCHEMES}"),
+    ], ids=["string", "empty", "unknown", "not-a-name", "one-unknown"])
+    def test_bad_schemes_are_refused_before_any_draw(self, schemes, message,
+                                                      monkeypatch):
+        monkeypatch.setattr(mcsim, "_rng", _no_draws)
+        with pytest.raises(DomainError) as info:
+            estimate(CFG, schemes, 10, seed=1)
+        assert str(info.value) == message
 
 
 class TestVariateCap:
@@ -291,20 +311,20 @@ class TestVariateCap:
         with pytest.raises(DomainError, match=f"= {65 * samples} variates, cap is"):
             sample_gamma_e(CFG, samples, seed=1)
 
-    @pytest.mark.parametrize("estimate, per_slot", [
+    @pytest.mark.parametrize("run, per_slot", [
         (lambda trials: estimate_sop(CFG, "OUS", trials, seed=1), 257),
         (lambda trials: estimate_sop(CFG, "NOMA_WU", trials, seed=1), 449),
-        (lambda trials: estimate_schemes_paired(CFG, trials, seed=1), 449),
+        (lambda trials: estimate(CFG, SCHEMES, trials, seed=1), 449),
         (lambda trials: estimate_noma_pair(CFG, trials, seed=1), 449),
         (lambda trials: sample_gamma_e(CFG, trials, seed=1), 65),
     ], ids=["ous", "noma-scheme", "paired", "noma-pair", "gamma-e"])
-    def test_the_cap_admits_a_run_that_reaches_it(self, estimate, per_slot, monkeypatch):
+    def test_the_cap_admits_a_run_that_reaches_it(self, run, per_slot, monkeypatch):
         monkeypatch.setattr(mcsim, "_MAX_VARIATES", 100 * per_slot)
-        estimate(100)  # exactly at the cap
+        run(100)  # exactly at the cap
         monkeypatch.setattr(mcsim, "_rng", _no_draws)
         message = f"101 slots x {per_slot} variates = {101 * per_slot} variates"
         with pytest.raises(DomainError, match=message):
-            estimate(101)
+            run(101)
 
     def test_the_cap_comes_after_the_trial_and_seed_checks(self, monkeypatch):
         monkeypatch.setattr(mcsim, "_MAX_VARIATES", 0)
@@ -340,7 +360,7 @@ class TestChunkPieces:
         trials = 35_000
 
         def counts():
-            paired = estimate_schemes_paired(CFG, trials, 7, mode)
+            paired = estimate(CFG, SCHEMES, trials, 7, mode)
             ous = estimate_sop(CFG, "OUS", trials, 7, mode)
             return ous.outages, {scheme: e.outages for scheme, e in paired.items()}
 
@@ -515,7 +535,7 @@ class TestThreadedDriver:
         results = [None] * len(executors)
 
         def run(i):
-            est = estimate_schemes_paired(cfg, trials, seed, executor=executors[i])
+            est = estimate(cfg, SCHEMES, trials, seed, executor=executors[i])
             results[i] = {scheme: e.outages for scheme, e in est.items()}
 
         threads = [threading.Thread(target=run, args=(i,))

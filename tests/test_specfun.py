@@ -310,7 +310,7 @@ print(json.dumps(seen))
 #: only the closed form loads scipy.
 _MC_GUARD = """
 import json, sys
-from ris_sop import cli, estimate_schemes_paired, estimate_sop, sop_closed_form
+from ris_sop import cli, estimate, estimate_sop, sop_closed_form
 from ris_sop.mcsim import MODES, SCHEMES, sample_gamma_e
 from ris_sop.sysmodel import SystemConfig
 
@@ -331,8 +331,8 @@ for mode in MODES:
         estimate_sop(cfg, scheme, 1000, 1, mode)
 seen["estimate_sop"] = scipy_modules()
 for mode in MODES:
-    estimate_schemes_paired(cfg, 1000, 1, mode)
-seen["estimate_schemes_paired"] = scipy_modules()
+    estimate(cfg, SCHEMES, 1000, 1, mode)
+seen["estimate"] = scipy_modules()
 for mode in MODES:
     sample_gamma_e(cfg, 1000, 1, mode)
 seen["sample_gamma_e"] = scipy_modules()
@@ -356,6 +356,6 @@ class TestScipyAtFirstTailEvaluation:
         seen = _fresh_python(_MC_GUARD)
         assert seen == {
             "sweep OUS": [], "sweep paired": [], "estimate_sop": [],
-            "estimate_schemes_paired": [], "sample_gamma_e": [],
+            "estimate": [], "sample_gamma_e": [],
             "rows with an estimate": [2, 4], "closed form": True,
         }
