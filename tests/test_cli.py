@@ -714,7 +714,9 @@ class TestMain:
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "row error" in err and "gamma0_db" in err
+        # The line's label names every swept axis; the error text after it
+        # must name the field itself.
+        assert "row error" in err and "gamma0_db" in err.split("): ", 1)[1]
         assert "out of range" not in err
 
     def test_sweep_row_errors_name_every_swept_axis(self, tmp_path, capsys):
