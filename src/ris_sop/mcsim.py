@@ -22,7 +22,10 @@ every estimate, so a new estimator inherits the contract unchanged.  One
 draw loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
 source-to-surface and eavesdropper streams piece by piece and hands each
 piece's element powers and eavesdropper SNR to the kernel, which draws
-only its own surface-to-user links and scores the slots.
+only its own surface-to-user links and scores the slots.  A chunk call
+draws and reduces every piece in place, in one workspace that it allocates
+for its first piece and drops when it returns: no large array is allocated
+per piece, no two threads share a buffer and none outlives the call.
 
 Two sampling modes exist.  ``physical`` shares the single source-to-surface
 draw between the scheduled user and the eavesdropper within a slot, which is
@@ -117,12 +120,19 @@ def _wilson(outages: int, trials: int) -> McEstimate:
 #: Most slots per piece.  It binds only at small n_elements * n_users, where
 #: the NOMA kernel's per-slot vectors outweigh its largest array.
 _PIECE_SLOTS = 2048
-#: Most bytes in a piece's largest array: 1 MiB keeps a kernel's working set
-#: near one core's 2 MiB L2 cache (see :func:`_slots`).
+#: Most bytes in a piece's largest array.  A kernel's workspace holds that
+#: array and a few smaller ones: at N=64, M=3 it peaks at 1.4 MiB (OUS) and
+#: 2.5 MiB (NOMA), near one core's 2 MiB L2 cache (see :func:`_slots`).
 _PIECE_BYTES = 1 << 20
 
 
-def _slots(cfg, p, seed, block, size, independent, slot_bytes):
+def _piece_slots(size, slot_bytes) -> int:
+    """Slots in the first, largest piece of a ``size``-slot chunk whose
+    kernel's largest array takes ``slot_bytes`` a slot."""
+    return max(1, min(size, _PIECE_SLOTS, _PIECE_BYTES // slot_bytes))
+
+
+def _slots(cfg, p, seed, block, size, independent, step):
     """Each piece's ``(g_sr, gamma_e)`` of a ``size``-slot chunk: the
     source-to-surface element powers and the eavesdropper SNR.
 
@@ -138,24 +148,32 @@ def _slots(cfg, p, seed, block, size, independent, slot_bytes):
       element powers, so its SNR is one exponential draw times that sum (or
       times a fresh gamma-distributed sum in independent mode).
 
-    The chunk's generators are created once and read in pieces of at most
-    :data:`_PIECE_SLOTS` slots whose largest array, ``slot_bytes`` per slot
-    in the calling kernel, fits in :data:`_PIECE_BYTES`.  So a kernel's
-    working set stays about 3 MiB at any size, and no large freed block is
-    left in a thread's malloc arena to swell a run's RSS.  Every quantity is
-    per slot, and a Philox stream read piece after piece yields the same
-    values as one whole-chunk draw, so the pieces leave every draw and every
-    count bit-identical.
+    The chunk's generators are created once and read in pieces of ``step``
+    slots, the last one shorter (see :func:`_piece_slots`).  Every piece is
+    drawn into one workspace that this call allocates for the first piece
+    and frees when it ends, so a chunk allocates its arrays once, not once a
+    piece.  A kernel does the same with its own arrays.  The arrays handed
+    out are views of that workspace: the kernel may overwrite them, and the
+    next piece does.  Every quantity is per slot, and a Philox stream read
+    piece after piece yields the same values as one whole-chunk draw, so the
+    pieces leave every draw and every count bit-identical.
     """
     n = cfg.n_elements
     sr, eav = _rng(seed, block, _TAG_DEST_SR), _rng(seed, block, _TAG_EAV)
     eav_sr = _rng(seed, block, _TAG_EAV_SR) if independent else None
-    step = max(1, min(_PIECE_SLOTS, _PIECE_BYTES // slot_bytes))
+    powers, snrs, exps = np.empty((step, n)), np.empty(step), np.empty(step)
     for start in range(0, size, step):
         k = min(step, size - start)
-        g_sr = sr.standard_exponential((k, n))
-        s = eav_sr.standard_gamma(n, size=k) if independent else g_sr.sum(axis=1)
-        yield g_sr, p.gamma0 * p.zeta_re * (p.zeta_sr * s) * eav.standard_exponential(k)
+        g_sr, gamma_e = sr.standard_exponential(out=powers[:k]), snrs[:k]
+        if independent:
+            eav_sr.standard_gamma(n, out=gamma_e)
+        else:
+            g_sr.sum(axis=1, out=gamma_e)
+        # gamma0 zeta_re (zeta_sr s) e, rounded factor by factor.
+        gamma_e *= p.zeta_sr
+        gamma_e *= p.gamma0 * p.zeta_re
+        gamma_e *= eav.standard_exponential(out=exps[:k])
+        yield g_sr, gamma_e
 
 
 def _outages(p, gamma, gamma_e) -> int:
@@ -175,12 +193,15 @@ def _outages(p, gamma, gamma_e) -> int:
 def _ous_chunk(cfg, p, seed, block, size, independent) -> tuple[int]:
     n, m = cfg.n_elements, cfg.n_users
     rd = _rng(seed, block, _TAG_DEST_RD)
+    step = _piece_slots(size, 8 * n * m)
+    amps, sums = np.empty((step, n, m)), np.empty((step, 1, m))
     outages = 0
-    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, 8 * n * m):
-        g_rd = rd.standard_exponential((len(g_sr), n, m))
-        np.sqrt(g_rd, out=g_rd)
-        sums = np.matmul(np.sqrt(g_sr)[:, None, :], g_rd)[:, 0, :]
-        gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * sums.max(axis=1) ** 2
+    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, step):
+        k = len(g_sr)
+        rd_amp = np.sqrt(rd.standard_exponential(out=amps[:k]), out=amps[:k])
+        sr_amp = np.sqrt(g_sr, out=g_sr)
+        best = np.matmul(sr_amp[:, None, :], rd_amp, out=sums[:k])[:, 0, :].max(axis=1)
+        gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * best**2
         outages += _outages(p, gamma_d, gamma_e)
     return (outages,)
 
@@ -198,20 +219,39 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     rd = _rng(seed, block, _TAG_DEST_RD)
     a = NOMA_A_BU
     p_bu = replace(p, offset=(p.rho - 1.0) / a)  # inf past the float64 range
+    step = _piece_slots(size, 16 * n * m)
+    links, amps = np.empty((step, n, m), np.complex128), np.empty((step, n, m))
+    sums, gains = np.empty((step, 1, m)), np.empty((step, 1, m), np.complex128)
+    cols, index = np.arange(0, n * m, m), np.empty((step, n), np.intp)
+    rots, invs = np.empty((step, n), np.complex128), np.empty((step, n))
     bu_out = wu_out = ous_out = 0
-    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, 16 * n * m):
+    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, step):
         k = len(g_sr)
-        sr_amp = np.sqrt(p.zeta_sr * g_sr)
-        # The last axis holds (real, imaginary) pairs: view them as complex.
-        h_rd = rd.standard_normal((k, n, m, 2)).view(np.complex128)[..., 0]
+        # The float view holds each coefficient's (real, imaginary) pair, in
+        # the order a (k, n, m, 2) draw fills.
+        h_rd = links[:k]
+        rd.standard_normal(out=h_rd.view(np.float64))
         h_rd *= math.sqrt(p.zeta_rd / 2.0)
-        sums = np.matmul(sr_amp[:, None, :], np.abs(h_rd))[:, 0, :]
-        bu = np.argmax(sums, axis=1)
+        abs_rd = np.abs(h_rd, out=amps[:k])
+        sr_amp = np.sqrt(np.multiply(g_sr, p.zeta_sr, out=g_sr), out=g_sr)
+        best = np.matmul(sr_amp[:, None, :], abs_rd, out=sums[:k])[:, 0, :]
+        bu = np.argmax(best, axis=1)
         rows = np.arange(k)
-        gamma_bu = p.gamma0 * sums[rows, bu] ** 2
-        h_bu = np.take_along_axis(h_rd, bu[:, None, None], axis=2)[:, :, 0]
-        rot = (np.conj(h_bu) / np.abs(h_bu)) * sr_amp
-        g_all = np.matmul(rot[:, None, :], h_rd)[:, 0, :]
+        gamma_bu = p.gamma0 * best[rows, bu] ** 2
+        # Slot r's best-user column h_bu sits at flat offsets r n m + bu + i m
+        # of h_rd and |h_rd|.  No offset is out of range; mode="clip" writes
+        # to out directly, where the default "raise" writes through a copy.
+        idx = np.add((rows * (n * m) + bu)[:, None], cols, out=index[:k])
+        rot = np.take(h_rd, idx, out=rots[:k], mode="clip")
+        inv = np.take(abs_rd, idx, out=invs[:k], mode="clip")
+        # rot = conj(h_bu) / |h_bu| * sr_amp, rounded as numpy's complex
+        # arithmetic rounds it: each part times 1 / |h_bu|, then sr_amp.
+        np.divide(1.0, inv, out=inv)
+        for part in (rot.real, rot.imag):
+            part *= inv
+            part *= sr_amp
+        np.conj(rot, out=rot)
+        g_all = np.matmul(rot[:, None, :], h_rd, out=gains[:k])[:, 0, :]
         gamma_all = p.gamma0 * np.abs(g_all) ** 2
         gamma_all[rows, bu] = np.inf
         gamma_wu = gamma_all.min(axis=1)
@@ -226,8 +266,9 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
 
 
 def _gamma_e_chunk(cfg, p, seed, block, size, independent):
-    slots = _slots(cfg, p, seed, block, size, independent, 8 * cfg.n_elements)
-    return np.concatenate([gamma_e for _, gamma_e in slots])
+    step = _piece_slots(size, 8 * cfg.n_elements)
+    slots = _slots(cfg, p, seed, block, size, independent, step)
+    return np.concatenate([gamma_e.copy() for _, gamma_e in slots])
 
 
 #: Most random variates one estimate or sweep may draw.  One costs 9-23 ns on

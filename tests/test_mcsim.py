@@ -353,6 +353,28 @@ class TestChunkPieces:
         assert estimate_sop(CFG, "OUS", trials, 7, mode).outages == outages
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_noma_pieces_reproduce_whole_chunk_draws(self, mode, monkeypatch):
+        # Small enough for whole-chunk complex arrays, and no count is 0 or
+        # every slot.  The last chunk ends inside its second piece.
+        cfg = SystemConfig(n_elements=16, n_users=5, gamma0_db=10.0, r_th=0.01)
+        independent = mode == "independent"
+        trials = 2 * CHUNK_SLOTS + 1000
+        step = _step("_noma_chunk", cfg)
+        assert step < trials % CHUNK_SLOTS < 2 * step
+        counts, gains = _whole_chunk_noma(cfg, trials, 7, independent)
+        assert all(0 < c < trials for c in counts)
+        got = estimate(cfg, SCHEMES, trials, 7, mode)
+        assert tuple(got[s].outages for s in ("NOMA_BU", "NOMA_WU", "OUS")) == counts
+        # A count does not see an ulp; every user's combined channel under
+        # the best user's phases does, slot by slot.
+        products = _Products()
+        monkeypatch.setattr(mcsim, "np", products)
+        for block, size in _chunks(trials):
+            mcsim._noma_chunk(cfg, derive_clt_params(cfg), 7, block, size, independent)
+        kernel_gains = [g for g in products.kept if g.dtype == np.complex128]
+        assert np.concatenate(kernel_gains)[:, 0, :].tobytes() == gains.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_counts_do_not_depend_on_the_piece_size(self, mode, monkeypatch):
         # A 700,000-byte budget gives pieces of 455 (OUS) and 227 (NOMA)
         # slots here, against 682 and 341 by default; each divides neither
@@ -378,8 +400,10 @@ class TestChunkPieces:
     @pytest.mark.parametrize("n_users", [3, 8])
     def test_piece_working_set_is_capped(self, kernel, n_users):
         # The per-piece arrays grow with n_elements * n_users; the byte cap
-        # keeps a kernel's peak allocation at 2.15-3.05 budgets (the NOMA
-        # kernel at M=3 the most) at any M.
+        # bounds them at any M, and a kernel allocates them once a chunk.
+        # Each cap is its kernel's peak rounded up to the next 0.25 budget:
+        # OUS 1.38 (M=3) and 1.16 (M=8), NOMA 2.52 and 1.99.  An OUS kernel
+        # that allocates each piece's arrays afresh peaks at 2.37 and fails.
         cfg = SystemConfig(n_elements=64, n_users=n_users)
         p = derive_clt_params(cfg)
         tracemalloc.start()
@@ -388,11 +412,11 @@ class TestChunkPieces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * _PIECE_BYTES
+        assert peak < {"_ous_chunk": 1.5, "_noma_chunk": 2.75}[kernel] * _PIECE_BYTES
 
 
-def _step(kernel):
-    """Slots per piece of ``kernel`` at ``CFG``: the size of the first piece
+def _step(kernel, cfg=CFG):
+    """Slots per piece of ``kernel`` at ``cfg``: the size of the first piece
     it reads of a full chunk, through a ``_slots`` that stops there."""
     sizes, slots = [], mcsim._slots
 
@@ -403,7 +427,7 @@ def _step(kernel):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcsim, "_slots", first_piece)
-        getattr(mcsim, kernel)(CFG, PARAMS, 7, 0, CHUNK_SLOTS, False)
+        getattr(mcsim, kernel)(cfg, derive_clt_params(cfg), 7, 0, CHUNK_SLOTS, False)
     return sizes[0]
 
 
@@ -417,20 +441,84 @@ def _whole_chunk_snrs(cfg, slots, seed, independent):
     p = derive_clt_params(cfg)
     n, m = cfg.n_elements, cfg.n_users
     parts = []
-    for block, start in enumerate(range(0, slots, CHUNK_SLOTS)):
-        size = min(CHUNK_SLOTS, slots - start)
-        g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
+    for block, size in _chunks(slots):
+        g_sr, gamma_e = _whole_chunk_eav(p, n, seed, block, size, independent)
         g_rd = _rng(seed, block, _TAG_DEST_RD).standard_exponential((size, n, m))
         sums = np.matmul(np.sqrt(g_sr)[:, None, :], np.sqrt(g_rd))[:, 0, :]
         gamma_d = p.gamma0 * p.zeta_rd * p.zeta_sr * sums.max(axis=1) ** 2
-        if independent:
-            sr = _rng(seed, block, _TAG_EAV_SR).standard_gamma(n, size=size)
-            s2 = p.zeta_sr * sr
-        else:
-            s2 = p.zeta_sr * g_sr.sum(axis=1)
-        e = _rng(seed, block, _TAG_EAV).standard_exponential(size)
-        parts.append((gamma_d, p.gamma0 * p.zeta_re * s2 * e))
+        parts.append((gamma_d, gamma_e))
     return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _whole_chunk_noma(cfg, slots, seed, independent):
+    """(NOMA_BU, NOMA_WU, OUS) outage counts and every slot's combined
+    channels ``g_all``, each chunk's streams drawn in one call and scored
+    with the textbook complex arithmetic: the best user's column by
+    ``take_along_axis`` and its unit phasor by complex division.  The NOMA
+    kernel reads its streams in pieces into one workspace and rounds that
+    arithmetic in real parts, so it must reproduce both bit for bit."""
+    p = derive_clt_params(cfg)
+    n, m = cfg.n_elements, cfg.n_users
+    a = NOMA_A_BU
+    bu_out = wu_out = ous_out = 0
+    gains = []
+    for block, size in _chunks(slots):
+        g_sr, gamma_e = _whole_chunk_eav(p, n, seed, block, size, independent)
+        sr_amp = np.sqrt(p.zeta_sr * g_sr)
+        z = _rng(seed, block, _TAG_DEST_RD).standard_normal((size, n, m, 2))
+        h_rd = z.view(np.complex128)[..., 0]
+        h_rd *= math.sqrt(p.zeta_rd / 2.0)
+        sums = np.matmul(sr_amp[:, None, :], np.abs(h_rd))[:, 0, :]
+        bu = np.argmax(sums, axis=1)
+        rows = np.arange(size)
+        gamma_bu = p.gamma0 * sums[rows, bu] ** 2
+        h_bu = np.take_along_axis(h_rd, bu[:, None, None], axis=2)[:, :, 0]
+        rot = (np.conj(h_bu) / np.abs(h_bu)) * sr_amp
+        g_all = np.matmul(rot[:, None, :], h_rd)[:, 0, :]
+        gains.append(g_all)
+        gamma_all = p.gamma0 * np.abs(g_all) ** 2
+        gamma_all[rows, bu] = np.inf
+        gamma_wu = gamma_all.min(axis=1)
+        bu_out += np.count_nonzero(gamma_bu < p.rho * gamma_e + (p.rho - 1.0) / a)
+        ous_out += np.count_nonzero(gamma_bu < p.rho * gamma_e + p.offset)
+        wu = (1.0 + gamma_wu) / (1.0 + a * gamma_wu)
+        eav = p.rho * (1.0 + gamma_e) / (1.0 + a * gamma_e)
+        wu_out += np.count_nonzero(wu < eav)
+    return (bu_out, wu_out, ous_out), np.concatenate(gains)
+
+
+class _Products:
+    """numpy as seen from ``mcsim``, keeping a copy of every matmul result."""
+
+    def __init__(self):
+        self.kept = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        product = np.matmul(*args, **kwargs)
+        self.kept.append(product.copy())
+        return product
+
+
+def _chunks(slots):
+    """(block, size) of each chunk of a ``slots``-slot run."""
+    for block, start in enumerate(range(0, slots, CHUNK_SLOTS)):
+        yield block, min(CHUNK_SLOTS, slots - start)
+
+
+def _whole_chunk_eav(p, n, seed, block, size, independent):
+    """One chunk's source-to-surface powers and eavesdropper SNR, each
+    stream drawn in one call."""
+    g_sr = _rng(seed, block, _TAG_DEST_SR).standard_exponential((size, n))
+    if independent:
+        sr = _rng(seed, block, _TAG_EAV_SR).standard_gamma(n, size=size)
+        s2 = p.zeta_sr * sr
+    else:
+        s2 = p.zeta_sr * g_sr.sum(axis=1)
+    e = _rng(seed, block, _TAG_EAV).standard_exponential(size)
+    return g_sr, p.gamma0 * p.zeta_re * s2 * e
 
 
 class _KernelFailure(Exception):
