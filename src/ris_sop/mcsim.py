@@ -21,7 +21,8 @@ schemes, and one reducer, :func:`estimate`, turns its chunk counts into
 every estimate, so a new estimator inherits the contract unchanged.  One
 draw loop, :func:`_slots`, feeds every kernel: it reads the chunk's shared
 source-to-surface and eavesdropper streams piece by piece and hands each
-piece's element powers and eavesdropper SNR to the kernel, which draws
+piece's element powers and eavesdropper SNR to the kernel, the SNR as a
+scale and an Exp(1) draw that the kernel multiplies.  The kernel draws
 only its own surface-to-user links and scores the slots.  A chunk call
 draws and reduces every piece in place, in one workspace that it allocates
 for its first piece and drops when it returns: no large array is allocated
@@ -133,8 +134,10 @@ def _piece_slots(size, slot_bytes) -> int:
 
 
 def _slots(cfg, p, seed, block, size, independent, step):
-    """Each piece's ``(g_sr, gamma_e)`` of a ``size``-slot chunk: the
-    source-to-surface element powers and the eavesdropper SNR.
+    """Each piece's ``(g_sr, scale, e)`` of a ``size``-slot chunk: the
+    source-to-surface element powers, and the eavesdropper SNR as its scale
+    gamma0 zeta_re (zeta_sr S) and its Exp(1) draw ``e``, kept apart.  The
+    SNR is ``scale * e``, and each kernel forms it.
 
     Every kernel draws through this generator and keeps only its own
     surface-to-user stream.  It applies two exact distributional reductions
@@ -164,16 +167,15 @@ def _slots(cfg, p, seed, block, size, independent, step):
     powers, snrs, exps = np.empty((step, n)), np.empty(step), np.empty(step)
     for start in range(0, size, step):
         k = min(step, size - start)
-        g_sr, gamma_e = sr.standard_exponential(out=powers[:k]), snrs[:k]
+        g_sr, scale = sr.standard_exponential(out=powers[:k]), snrs[:k]
         if independent:
-            eav_sr.standard_gamma(n, out=gamma_e)
+            eav_sr.standard_gamma(n, out=scale)
         else:
-            g_sr.sum(axis=1, out=gamma_e)
-        # gamma0 zeta_re (zeta_sr s) e, rounded factor by factor.
-        gamma_e *= p.zeta_sr
-        gamma_e *= p.gamma0 * p.zeta_re
-        gamma_e *= eav.standard_exponential(out=exps[:k])
-        yield g_sr, gamma_e
+            g_sr.sum(axis=1, out=scale)
+        # gamma0 zeta_re (zeta_sr s), rounded factor by factor.
+        scale *= p.zeta_sr
+        scale *= p.gamma0 * p.zeta_re
+        yield g_sr, scale, eav.standard_exponential(out=exps[:k])
 
 
 def _outages(p, gamma, gamma_e) -> int:
@@ -196,8 +198,9 @@ def _ous_chunk(cfg, p, seed, block, size, independent) -> tuple[int]:
     step = _piece_slots(size, 8 * n * m)
     amps, sums = np.empty((step, n, m)), np.empty((step, 1, m))
     outages = 0
-    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, step):
+    for g_sr, scale, e in _slots(cfg, p, seed, block, size, independent, step):
         k = len(g_sr)
+        gamma_e = np.multiply(scale, e, out=scale)
         rd_amp = np.sqrt(rd.standard_exponential(out=amps[:k]), out=amps[:k])
         sr_amp = np.sqrt(g_sr, out=g_sr)
         best = np.matmul(sr_amp[:, None, :], rd_amp, out=sums[:k])[:, 0, :].max(axis=1)
@@ -225,8 +228,9 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
     cols, index = np.arange(0, n * m, m), np.empty((step, n), np.intp)
     rots, invs = np.empty((step, n), np.complex128), np.empty((step, n))
     bu_out = wu_out = ous_out = 0
-    for g_sr, gamma_e in _slots(cfg, p, seed, block, size, independent, step):
+    for g_sr, scale, e in _slots(cfg, p, seed, block, size, independent, step):
         k = len(g_sr)
+        gamma_e = np.multiply(scale, e, out=scale)
         # The float view holds each coefficient's (real, imaginary) pair, in
         # the order a (k, n, m, 2) draw fills.
         h_rd = links[:k]
@@ -268,7 +272,7 @@ def _noma_chunk(cfg, p, seed, block, size, independent):
 def _gamma_e_chunk(cfg, p, seed, block, size, independent):
     step = _piece_slots(size, 8 * cfg.n_elements)
     slots = _slots(cfg, p, seed, block, size, independent, step)
-    return np.concatenate([gamma_e.copy() for _, gamma_e in slots])
+    return np.concatenate([scale * e for _, scale, e in slots])
 
 
 #: Most random variates one estimate or sweep may draw.  One costs 9-23 ns on

@@ -8,9 +8,11 @@ tail mass ``exp(-u)`` drops below 1e-15 and below the relative tolerance of
 the value, and refines worst-first with a 15-point Gauss-Kronrod rule until
 the accumulated error estimate meets the relative tolerance.  The panels a
 span is first cut into, and the two halves of each split, are evaluated with
-one integrand call on all of their nodes; each panel's Gauss and Kronrod sums
-are still its own 15-element dot products, so the values are bit for bit
-those of one call per panel.  Every integral,
+one integrand call on all of their nodes, and one ``np.vecdot`` call forms
+all of their Gauss and Kronrod sums.  That call reduces each panel's row with
+the BLAS ddot a one-panel ``np.dot`` calls, so the values are bit for bit
+those of one panel at a time; a matrix product ``y @ w`` rounds differently.
+Every integral,
 the SOP quadratures and any other caller's alike, runs at the one tolerance
 :data:`SOP_REL_TOL` within the one budget :data:`SOP_MAX_SUBDIVISIONS`.
 Known integrand kinks can be declared as explicit panel boundaries, which
@@ -21,6 +23,7 @@ Q-function argument changes sign.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -82,6 +85,7 @@ _NODES = np.concatenate([-_K_NODES[:-1], _K_NODES[::-1]])  # 15 ascending
 _WK = np.concatenate([_K_WEIGHTS[:-1], _K_WEIGHTS[::-1]])
 _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_G_WEIGHTS[:-1], _G_WEIGHTS[::-1]])
+_W = np.stack([_WK, _WG])
 
 
 class QuadResult(NamedTuple):
@@ -92,23 +96,22 @@ class QuadResult(NamedTuple):
     subdivisions: int
 
 
-def _panels(g, bounds) -> list[tuple[float, float]]:
-    """(Kronrod value, |Kronrod - Gauss|) of each panel between consecutive
-    ``bounds``, from one call of ``g`` on all of their nodes.
+def _panels(g, bounds) -> tuple[list[float], list[float]]:
+    """Kronrod values and |Kronrod - Gauss| error estimates of the panels
+    between consecutive ``bounds``, from one call of ``g`` on all of their
+    nodes.
 
-    Each panel keeps its own 15-element dot products: a batched reduction
-    (``y @ _WK``) rounds differently from the per-panel ddot.
+    One ``vecdot`` call forms every panel's two 15-element sums.  numpy's
+    vecdot loop reduces each row with the same BLAS ddot that ``np.dot`` of
+    one row calls, so the sums are bit for bit those of one panel at a time;
+    a matrix product (``y @ _WK``) rounds differently.
     """
     edges = np.asarray(bounds, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
-    y = g((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
-    out = []
-    for h, row in zip(half.tolist(), y):
-        k = h * float(np.dot(_WK, row))
-        gauss = h * float(np.dot(_WG, row))
-        out.append((k, abs(k - gauss)))
-    return out
+    y = g((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 1, 15)
+    kronrod, gauss = (half[:, None] * np.vecdot(y, _W)).T
+    return kronrod.tolist(), np.abs(kronrod - gauss).tolist()
 
 
 def integrate_semi_infinite(
@@ -149,21 +152,23 @@ def integrate_semi_infinite(
     heap: list[tuple[float, int, float, float, float, float]] = []
     total = 0.0
     total_err = 0.0
-    tick = 0
+    # Every key holds a unique tick, so the pop order is the keys' order.
+    ticks = itertools.count()
 
     def add_span(start: float, end: float) -> None:
-        nonlocal total, total_err, tick
+        nonlocal total, total_err
         edges = sorted({start, end, *(c for c in cuts if start < c < end)})
         # Presplit long spans so the first error estimates are already local.
         bounds = [edges[0]]
         for a, b in zip(edges, edges[1:]):
-            pieces = max(1, min(8, int(math.ceil((b - a) / 5.0))))
-            bounds.extend(a + (b - a) * (i + 1) / pieces for i in range(pieces))
-        for a, b, (val, err) in zip(bounds, bounds[1:], _panels(g, bounds)):
+            width = b - a
+            pieces = max(1, min(8, math.ceil(width / 5.0)))
+            bounds += [a + width * i / pieces for i in range(1, pieces + 1)]
+        for a, b, val, err in zip(bounds, bounds[1:], *_panels(g, bounds)):
             total += val
             total_err += err
-            heapq.heappush(heap, (-err, tick, a, b, val, err))
-            tick += 1
+            heap.append((-err, next(ticks), a, b, val, err))
+        heapq.heapify(heap)
 
     add_span(0.0, hi)
     splits = 0
@@ -187,15 +192,14 @@ def integrate_semi_infinite(
                 value=total,
                 error=total_err + tail,
             )
-        _, _, a, b, val, err = heapq.heappop(heap)
+        # Split the worst panel: its left half replaces it, then the right joins.
+        _, _, a, b, val, err = heap[0]
         mid = 0.5 * (a + b)
-        (vl, el), (vr, er) = _panels(g, (a, mid, b))
+        (vl, vr), (el, er) = _panels(g, (a, mid, b))
         total += (vl + vr) - val
         total_err += (el + er) - err
-        heapq.heappush(heap, (-el, tick, a, mid, vl, el))
-        tick += 1
-        heapq.heappush(heap, (-er, tick, mid, b, vr, er))
-        tick += 1
+        heapq.heapreplace(heap, (-el, next(ticks), a, mid, vl, el))
+        heapq.heappush(heap, (-er, next(ticks), mid, b, vr, er))
         splits += 1
     return QuadResult(total, total_err + tail, splits)
 
@@ -208,14 +212,16 @@ def _sop_quad(p: CltParams, m_users: int, q) -> QuadResult:
 
     def integrand(x):
         y = p.rho * x + p.offset
-        z = (np.sqrt(y / p.gamma0) - p.mu_d) / sigma
+        # -z, as rounding is sign-symmetric: mu_d - a is -(a - mu_d) and
+        # x / -lambda_e is -x / lambda_e, bit for bit.
+        neg_z = (p.mu_d - np.sqrt(y / p.gamma0)) / sigma
         # The CDF 1 - xi Q(z) as (1 - xi) + xi Q(-z), which keeps its
         # relative accuracy where it is tiny (z far below 0) instead of
         # cancelling to ~7 digits.  Q(-z) = 1 - Q(z) holds for q_exact, and
         # for q_approx3 at every z but 0.  z = 0 only at the branch point,
         # a panel edge, where no Gauss-Kronrod node falls.
-        cdf = (xi_c + xi * q(-z)) ** m_users
-        return cdf * (np.exp(-x / p.lambda_e) / p.lambda_e)
+        cdf = (xi_c + xi * q(neg_z)) ** m_users
+        return cdf * (np.exp(x / -p.lambda_e) / p.lambda_e)
 
     # At large N the CDF's climb over -8 < z < 8 is a few percent of alpha
     # wide and can fall between the first panels' nodes; z = 0 is alpha.

@@ -49,6 +49,9 @@ Q_APPROX = QApproxWeights(
     p=(1.0, 4.0, 4.0 / 3.0),
 )
 
+# (w / 2, -p / 2) of each term, as q_approx3 applies them.
+_Q_APPROX_TERMS = tuple((0.5 * w, -0.5 * p) for w, p in zip(*Q_APPROX))
+
 #: Largest multinomial expansion order the term enumeration will serve.
 ORDER_CAP = 16
 
@@ -122,9 +125,9 @@ def q_approx3(x):
     """
     arr = _asarray_checked(x)
     x2 = arr * arr
-    s = np.zeros_like(x2)
-    for w, p in zip(Q_APPROX.w, Q_APPROX.p):
-        s += (0.5 * w) * np.exp(-0.5 * p * x2)
+    (c1, e1), (c2, e2), (c3, e3) = _Q_APPROX_TERMS
+    s = c1 * np.exp(e1 * x2) + c2 * np.exp(e2 * x2)
+    s += c3 * np.exp(e3 * x2)
     out = np.where(arr >= 0, s, 1.0 - s)
     return float(out) if arr.ndim == 0 else out
 

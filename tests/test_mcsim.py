@@ -31,6 +31,9 @@ from ris_sop.mcsim import (
 )
 from ris_sop.quadrature import sop_quad_exact_q
 from ris_sop.sysmodel import SystemConfig, derive_clt_params
+from test_golden_mc import GOLDEN_OUS, GOLDEN_PAIRED
+from test_golden_mc import SEED as GOLDEN_SEED
+from test_golden_mc import TRIALS as GOLDEN_TRIALS
 
 CFG = SystemConfig(n_elements=64, n_users=3, gamma0_db=20.0)
 PARAMS = derive_clt_params(CFG)
@@ -413,6 +416,65 @@ class TestChunkPieces:
         finally:
             tracemalloc.stop()
         assert peak < {"_ous_chunk": 1.5, "_noma_chunk": 2.75}[kernel] * _PIECE_BYTES
+
+
+class TestEavesdropperSeam:
+    """``_slots`` yields the eavesdropper SNR's scale and its Exp(1) draw
+    apart, and each kernel multiplies the two, so the counts must not move.
+    At the golden seed a kernel's counts over the golden run's chunks (two
+    full, then a 7,232-slot tail) are ``test_golden_mc.py``'s.  At a second
+    seed they equal those of whole-chunk draws whose SNR is one product,
+    after the full first chunk and after the tail."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_slots_yield_the_scale_and_the_draw_apart(self, mode):
+        independent = mode == "independent"
+        size = 1000
+        pieces = [
+            (scale.copy(), e.copy())
+            for _, scale, e in mcsim._slots(CFG, PARAMS, 7, 2, size, independent, 300)
+        ]
+        scale, e = (np.concatenate(c) for c in zip(*pieces))
+        draw = _rng(7, 2, _TAG_EAV).standard_exponential(size)
+        assert e.tobytes() == draw.tobytes()
+        _, gamma_e = _whole_chunk_eav(PARAMS, CFG.n_elements, 7, 2, size, independent)
+        assert (scale * e).tobytes() == gamma_e.tobytes()
+
+    @pytest.mark.parametrize("cfg,mode,outages", GOLDEN_OUS)
+    def test_ous_kernel_counts(self, cfg, mode, outages):
+        independent = mode == "independent"
+        assert _running_counts("_ous_chunk", cfg, GOLDEN_SEED, independent)[-1] == [outages]
+        p = derive_clt_params(cfg)
+        gamma_d, gamma_e = _whole_chunk_snrs(cfg, GOLDEN_TRIALS, 11, independent)
+        out = np.cumsum(gamma_d < p.rho * gamma_e + p.offset)
+        ends = [CHUNK_SLOTS, GOLDEN_TRIALS]
+        expected = [[int(out[end - 1])] for end in ends]
+        running = _running_counts("_ous_chunk", cfg, 11, independent)
+        assert [running[0], running[-1]] == expected
+
+    @pytest.mark.parametrize("cfg,mode,counts", GOLDEN_PAIRED)
+    def test_noma_kernel_counts(self, cfg, mode, counts):
+        independent = mode == "independent"
+        order = ("NOMA_BU", "NOMA_WU", "OUS")
+        golden = _running_counts("_noma_chunk", cfg, GOLDEN_SEED, independent)[-1]
+        assert dict(zip(order, golden)) == counts
+        expected = [
+            list(_whole_chunk_noma(cfg, slots, 11, independent)[0])
+            for slots in (CHUNK_SLOTS, GOLDEN_TRIALS)
+        ]
+        running = _running_counts("_noma_chunk", cfg, 11, independent)
+        assert [running[0], running[-1]] == expected
+
+
+def _running_counts(kernel, cfg, seed, independent):
+    """``kernel``'s counts summed over the golden run's chunks, after each."""
+    p = derive_clt_params(cfg)
+    totals, running = None, []
+    for block, size in _chunks(GOLDEN_TRIALS):
+        counts = getattr(mcsim, kernel)(cfg, p, seed, block, size, independent)
+        totals = list(counts) if totals is None else [t + c for t, c in zip(totals, counts)]
+        running.append(totals)
+    return running
 
 
 def _step(kernel, cfg=CFG):

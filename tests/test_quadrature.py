@@ -152,6 +152,69 @@ class TestIntegrator:
         assert exc.value.error > 0
 
 
+_DDOT = "vecdot no longer reduces each row with ddot"
+
+
+def _panels_row_by_row(g, bounds):
+    """``_panels`` with each panel's two sums from their own ``np.dot``."""
+    edges = np.asarray(bounds, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    y = g((mid[:, None] + half[:, None] * quadrature._NODES).ravel()).reshape(-1, 15)
+    values, errors = [], []
+    for h, row in zip(half.tolist(), y):
+        k = h * float(np.dot(quadrature._WK, row))
+        values.append(k)
+        errors.append(abs(k - h * float(np.dot(quadrature._WG, row))))
+    return values, errors
+
+
+def _hexes(panels):
+    return [[v.hex() for v in part] for part in panels]
+
+
+class TestPanelSums:
+    # The pinned quadrature bits rest on _panels' one vecdot call rounding
+    # each panel's sums as a ddot of that row alone does.
+    def test_random_rows_keep_the_row_by_row_bits(self):
+        rng = np.random.default_rng(20)
+        batched_differs = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 21))
+            scale = 10.0 ** rng.uniform(-300, 300, (n, 1))
+            rows = rng.standard_normal((n, 15)) * scale * 10.0 ** rng.uniform(-3, 3, (n, 15))
+            bounds = np.sort(rng.uniform(0.0, 50.0, n + 1)).tolist()
+
+            def g(u, rows=rows):
+                assert u.shape == (rows.size,)
+                return rows.ravel()
+
+            want = _hexes(_panels_row_by_row(g, bounds))
+            assert _hexes(quadrature._panels(g, bounds)) == want, _DDOT
+            batched = (rows @ quadrature._W.T).T.tolist()
+            batched_differs += batched[0] != [float(np.dot(quadrature._WK, r)) for r in rows]
+        # The rows tell the reductions apart: a matrix product rounds
+        # differently on some of them.
+        assert batched_differs > 0
+
+    @pytest.mark.parametrize("route", [sop_quad_exact_q, sop_quad_approx_q])
+    def test_sop_integrands_keep_the_row_by_row_bits(self, route, monkeypatch):
+        calls = []
+        panels = quadrature._panels
+
+        def checked(g, bounds):
+            got = panels(g, bounds)
+            assert _hexes(got) == _hexes(_panels_row_by_row(g, bounds)), _DDOT
+            calls.append(len(bounds) - 1)
+            return got
+
+        monkeypatch.setattr(quadrature, "_panels", checked)
+        for n, m, gamma0_db, d_re in [(64, 3, 20.0, 50.0), (256, 1, -10.0, 38.0),
+                                      (256, 3, 0.0, 10.0), (16, 16, 40.0, 50.0)]:
+            route(SystemConfig(n_elements=n, n_users=m, gamma0_db=gamma0_db, d_re=d_re))
+        assert len(calls) > 4 and max(calls) > 2
+
+
 class TestSopQuadratures:
     def test_no_power_limit(self):
         cfg = SystemConfig(n_elements=64, n_users=3, gamma0_db=-60.0)
