@@ -12,12 +12,11 @@ one integrand call on all of their nodes, and one ``np.vecdot`` call forms
 all of their Gauss and Kronrod sums.  That call reduces each panel's row with
 the BLAS ddot a one-panel ``np.dot`` calls, so the values are bit for bit
 those of one panel at a time; a matrix product ``y @ w`` rounds differently.
-Every integral,
-the SOP quadratures and any other caller's alike, runs at the one tolerance
-:data:`SOP_REL_TOL` within the one budget :data:`SOP_MAX_SUBDIVISIONS`.
-Known integrand kinks can be declared as explicit panel boundaries, which
-matters for the branch-split integrands whose derivative jumps where the
-Q-function argument changes sign.
+Every integral, the SOP quadratures and any other caller's alike, runs at
+the one tolerance :data:`SOP_REL_TOL` within the one budget
+:data:`SOP_MAX_SUBDIVISIONS`.  Known integrand kinks can be declared as
+explicit panel boundaries, which matters for the branch-split integrands
+whose derivative jumps where the Q-function argument changes sign.
 """
 
 from __future__ import annotations
